@@ -1,7 +1,8 @@
 // Micro-benchmarks for the fused/vectorized kernel layer
 // (docs/ARCHITECTURE.md §12): scalar oracle vs AVX2 backend on the hot
-// kernels — fused dedup-aware pooled lookup, the MLP GEMMs, the sparse
-// SGD scatter, BCE, and the dense SGD row update.
+// kernels — fused dedup-aware pooled lookup, the MLP GEMMs (square and
+// at the RM1 layer shapes), the feature interaction, the sparse SGD
+// scatter, BCE, and the dense SGD row update.
 //
 // Every timed pair is also checked bitwise (the layer's contract): the
 // bench aborts nonzero if any vectorized output differs from scalar by
@@ -14,6 +15,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -103,6 +106,7 @@ int main(int argc, char** argv) {
   const int reps = bench::SmokeOr(10, 1);
   common::Rng rng(1234);
   std::vector<Row> rows;
+  std::deque<std::string> names;  // owns generated row names
 
   // ---- Fused dedup-aware pooled lookup -------------------------------
   // Scalar baseline pools the EXPANDED batch (what a dedup-unaware
@@ -269,6 +273,135 @@ int main(int argc, char** argv) {
                                gw_vec.data(), gb_vec.data());
     });
     rows.push_back(r3);
+  }
+
+  // ---- RM1 MLP layers and feature interaction -------------------------
+  // The dense shapes of one RM1 gradient chunk (128 rows): bottom layer
+  // 13 -> 256 and top layers 359 -> 512 -> 256. Backward gradients are
+  // half exact zeros, the ReLU mask of a symmetric pre-activation.
+  {
+    struct Shape {
+      const char* name;
+      std::size_t m, k, n;  // rows x in_dim -> out_dim
+    };
+    const std::size_t m = bench::SmokeOr<std::size_t>(128, 8);
+    for (const Shape& sh : {Shape{"rm1_128x359x512", m, 359, 512},
+                            Shape{"rm1_128x512x256", m, 512, 256},
+                            Shape{"rm1_128x13x256", m, 13, 256}}) {
+      const auto x = RandVec(sh.m * sh.k, rng);
+      const auto w = RandVec(sh.n * sh.k, rng);
+      auto g = RandVec(sh.m * sh.n, rng);
+      for (std::size_t i = 0; i < g.size(); ++i) {
+        if (rng.UniformReal() < 0.5) g[i] = 0.0f;
+      }
+      const double flops = 2.0 * sh.m * sh.k * sh.n;
+      const std::string base = sh.name;
+
+      std::vector<float> y_scalar(sh.m * sh.n), y_vec(sh.m * sh.n);
+      const auto fwd = [&](KernelBackend b, std::vector<float>& y) {
+        kernels::MatmulABt(b, x.data(), sh.m, sh.k, w.data(), sh.n,
+                           y.data());
+      };
+      fwd(kS, y_scalar);
+      fwd(kV, y_vec);
+      RequireBitwise(y_scalar, y_vec, "rm1 forward");
+      rows.push_back(Row{names.emplace_back(base + "_fwd").c_str(),
+                         SecondsPerPass(trials, reps,
+                                        [&] { fwd(kS, y_scalar); }),
+                         SecondsPerPass(trials, reps,
+                                        [&] { fwd(kV, y_vec); }),
+                         flops, 0, "flop"});
+
+      std::vector<float> dx_scalar(sh.m * sh.k), dx_vec(sh.m * sh.k);
+      const auto dx = [&](KernelBackend b, std::vector<float>& out) {
+        kernels::MatmulAB(b, g.data(), sh.m, sh.n, w.data(), sh.k,
+                          out.data());
+      };
+      dx(kS, dx_scalar);
+      dx(kV, dx_vec);
+      RequireBitwise(dx_scalar, dx_vec, "rm1 backward dX");
+      rows.push_back(Row{names.emplace_back(base + "_dx").c_str(),
+                         SecondsPerPass(trials, reps,
+                                        [&] { dx(kS, dx_scalar); }),
+                         SecondsPerPass(trials, reps,
+                                        [&] { dx(kV, dx_vec); }),
+                         flops, 0, "flop"});
+
+      std::vector<float> gw_scalar(sh.n * sh.k), gw_vec(sh.n * sh.k),
+          gb_scalar(sh.n), gb_vec(sh.n);
+      const auto dw = [&](KernelBackend b, std::vector<float>& gw,
+                          std::vector<float>& gb) {
+        kernels::AccumulateOuter(b, g.data(), sh.m, sh.n, x.data(), sh.k,
+                                 gw.data(), gb.data());
+      };
+      dw(kS, gw_scalar, gb_scalar);
+      dw(kV, gw_vec, gb_vec);
+      RequireBitwise(gw_scalar, gw_vec, "rm1 backward dW");
+      RequireBitwise(gb_scalar, gb_vec, "rm1 backward db");
+      rows.push_back(
+          Row{names.emplace_back(base + "_dw").c_str(),
+              SecondsPerPass(trials, reps,
+                             [&] { dw(kS, gw_scalar, gb_scalar); }),
+              SecondsPerPass(trials, reps, [&] { dw(kV, gw_vec, gb_vec); }),
+              flops, 0, "flop"});
+    }
+
+    // RM1's interaction: F = 22 inputs (bottom MLP + 21 pooled
+    // features) of d = 128.
+    const std::size_t f = 22;
+    const std::size_t d = 128;
+    std::vector<std::vector<float>> xs;
+    std::vector<const float*> in;
+    for (std::size_t i = 0; i < f; ++i) {
+      xs.push_back(RandVec(m * d, rng));
+      in.push_back(xs.back().data());
+    }
+    const std::size_t width = d + f * (f - 1) / 2;
+    const double pair_flops = 2.0 * m * d * (f * (f - 1) / 2);
+    std::vector<float> o_scalar(m * width), o_vec(m * width);
+    kernels::InteractionForward(kS, in, m, d, o_scalar.data());
+    kernels::InteractionForward(kV, in, m, d, o_vec.data());
+    RequireBitwise(o_scalar, o_vec, "interaction forward");
+    rows.push_back(Row{
+        "interaction_f22_d128_fwd",
+        SecondsPerPass(trials, reps,
+                       [&] {
+                         kernels::InteractionForward(kS, in, m, d,
+                                                     o_scalar.data());
+                       }),
+        SecondsPerPass(trials, reps,
+                       [&] {
+                         kernels::InteractionForward(kV, in, m, d,
+                                                     o_vec.data());
+                       }),
+        pair_flops, 0, "flop"});
+
+    const auto grad_out = RandVec(m * width, rng);
+    std::vector<std::vector<float>> gs_scalar(f, std::vector<float>(m * d)),
+        gs_vec = gs_scalar;
+    std::vector<float*> gp_scalar, gp_vec;
+    for (std::size_t i = 0; i < f; ++i) {
+      gp_scalar.push_back(gs_scalar[i].data());
+      gp_vec.push_back(gs_vec[i].data());
+    }
+    kernels::InteractionBackward(kS, grad_out.data(), in, m, d, gp_scalar);
+    kernels::InteractionBackward(kV, grad_out.data(), in, m, d, gp_vec);
+    for (std::size_t i = 0; i < f; ++i) {
+      RequireBitwise(gs_scalar[i], gs_vec[i], "interaction backward");
+    }
+    rows.push_back(Row{
+        "interaction_f22_d128_bwd",
+        SecondsPerPass(trials, reps,
+                       [&] {
+                         kernels::InteractionBackward(kS, grad_out.data(),
+                                                      in, m, d, gp_scalar);
+                       }),
+        SecondsPerPass(trials, reps,
+                       [&] {
+                         kernels::InteractionBackward(kV, grad_out.data(),
+                                                      in, m, d, gp_vec);
+                       }),
+        2 * pair_flops, 0, "flop"});
   }
 
   // ---- Loss + dense SGD ----------------------------------------------

@@ -13,6 +13,10 @@
 # `check.sh --asan` builds the `asan` preset (AddressSanitizer) and runs
 # the *full* test suite under the memory-error detector.
 #
+# `check.sh --ubsan` builds the `ubsan` preset (UndefinedBehaviorSanitizer
+# with -fno-sanitize-recover, so the first report fails its test) and
+# runs the full test suite.
+#
 # `check.sh --smoke` builds every bench_* target and runs each with a
 # tiny workload (RECD_SMOKE=1, see bench::SmokeOr; Google-Benchmark
 # targets get a short --benchmark_min_time instead), so bench bit-rot
@@ -70,6 +74,12 @@ case "${1:-}" in
     run_phase "ctest (asan, full)" ctest --test-dir build-asan \
       --output-on-failure -j 2
     ;;
+  --ubsan)
+    run_phase "configure (ubsan)" cmake --preset ubsan
+    run_phase "build (ubsan)" cmake --build build-ubsan -j
+    run_phase "ctest (ubsan, full)" ctest --test-dir build-ubsan \
+      --output-on-failure -j 2
+    ;;
   --smoke)
     run_phase "configure" cmake -B build -S .
     run_phase "build" cmake --build build -j
@@ -104,7 +114,7 @@ case "${1:-}" in
       --output-on-failure -j
     ;;
   *)
-    echo "usage: $0 [--tsan|--asan|--smoke|--strict]" >&2
+    echo "usage: $0 [--tsan|--asan|--ubsan|--smoke|--strict]" >&2
     exit 2
     ;;
 esac

@@ -7,8 +7,9 @@
 #   core        tier-1 (configure + build + ctest) then the strict
 #               (-Werror) preset build
 #   sanitizers  ASan full suite, TSan concurrency suites (including the
-#               distributed-trainer suites), then every bench target in
-#               smoke mode
+#               distributed-trainer suites), UBSan full suite (aborting
+#               on the first report), then every bench target in smoke
+#               mode
 #   recovery    the fault-injection / checkpoint-recovery suites under
 #               ThreadSanitizer — kill, straggler, dead-peer, and
 #               restore-determinism paths are the most thread-hostile
@@ -48,6 +49,7 @@ stage_core() {
 stage_sanitizers() {
   ./scripts/check.sh --asan
   ./scripts/check.sh --tsan
+  ./scripts/check.sh --ubsan
   ./scripts/check.sh --smoke
 }
 

@@ -32,6 +32,12 @@ void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
 void AccumulateOuter(const float* g, std::size_t rows, std::size_t out_dim,
                      const float* x, std::size_t in_dim, float* grad_w,
                      float* grad_b);
+void InteractionForward(std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out);
+void InteractionBackward(const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads);
 [[nodiscard]] double BceLossSum(const float* logits, const float* labels,
                                 std::size_t n);
 void BceGrad(const float* logits, const float* labels, std::size_t n,
@@ -80,6 +86,12 @@ void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
 void AccumulateOuter(const float* g, std::size_t rows, std::size_t out_dim,
                      const float* x, std::size_t in_dim, float* grad_w,
                      float* grad_b);
+void InteractionForward(std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out);
+void InteractionBackward(const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads);
 [[nodiscard]] double BceLossSum(const float* logits, const float* labels,
                                 std::size_t n);
 void BceGrad(const float* logits, const float* labels, std::size_t n,

@@ -39,7 +39,7 @@ void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
                   std::size_t hash_size, std::size_t dim, Pool pool,
                   float* out) {
   const std::size_t rows = batch.num_rows();
-  std::memset(out, 0, rows * dim * sizeof(float));
+  std::fill_n(out, rows * dim, 0.0f);
   for (std::size_t r = 0; r < rows; ++r) {
     const auto ids = batch.row(r);
     if (ids.empty()) continue;
@@ -75,7 +75,7 @@ void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out) {
   const std::size_t rows = group.front().jt->num_rows();
-  std::memset(out, 0, rows * dim * sizeof(float));
+  std::fill_n(out, rows * dim, 0.0f);
   for (std::size_t r = 0; r < rows; ++r) {
     float* orow = out + r * dim;
     for (const auto& f : group) {
@@ -168,6 +168,55 @@ void AccumulateOuter(const float* g, std::size_t rows, std::size_t out_dim,
       float* wr = grad_w + o * in_dim;
       for (std::size_t i = 0; i < in_dim; ++i) wr[i] += gv * xr[i];
       grad_b[o] += gv;
+    }
+  }
+}
+
+void InteractionForward(std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out) {
+  const std::size_t f = inputs.size();
+  const std::size_t width = d + f * (f - 1) / 2;
+  for (std::size_t r = 0; r < rows; ++r) {
+    float* orow = out + r * width;
+    std::memcpy(orow, inputs[0] + r * d, d * sizeof(float));
+    std::size_t k = d;
+    for (std::size_t i = 0; i < f; ++i) {
+      const float* xi = inputs[i] + r * d;
+      for (std::size_t j = i + 1; j < f; ++j) {
+        const float* xj = inputs[j] + r * d;
+        float dot = 0.0f;
+        for (std::size_t c = 0; c < d; ++c) dot += xi[c] * xj[c];
+        orow[k++] = dot;
+      }
+    }
+  }
+}
+
+void InteractionBackward(const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads) {
+  const std::size_t f = inputs.size();
+  const std::size_t width = d + f * (f - 1) / 2;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const float* g = grad_out + r * width;
+    // Pass-through of the copied x_0 block.
+    float* g0 = grads[0] + r * d;
+    for (std::size_t c = 0; c < d; ++c) g0[c] += g[c];
+    std::size_t k = d;
+    for (std::size_t i = 0; i < f; ++i) {
+      const float* xi = inputs[i] + r * d;
+      float* gi = grads[i] + r * d;
+      for (std::size_t j = i + 1; j < f; ++j) {
+        const float* xj = inputs[j] + r * d;
+        float* gj = grads[j] + r * d;
+        const float gd = g[k++];
+        if (gd == 0.0f) continue;
+        for (std::size_t c = 0; c < d; ++c) {
+          gi[c] += gd * xj[c];
+          gj[c] += gd * xi[c];
+        }
+      }
     }
   }
 }
@@ -329,6 +378,27 @@ void AccumulateOuter(KernelBackend backend, const float* g,
     simd::AccumulateOuter(g, rows, out_dim, x, in_dim, grad_w, grad_b);
   } else {
     detail::AccumulateOuter(g, rows, out_dim, x, in_dim, grad_w, grad_b);
+  }
+}
+
+void InteractionForward(KernelBackend backend,
+                        std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out) {
+  if (UseSimd(backend)) {
+    simd::InteractionForward(inputs, rows, d, out);
+  } else {
+    detail::InteractionForward(inputs, rows, d, out);
+  }
+}
+
+void InteractionBackward(KernelBackend backend, const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads) {
+  if (UseSimd(backend)) {
+    simd::InteractionBackward(grad_out, inputs, rows, d, grads);
+  } else {
+    detail::InteractionBackward(grad_out, inputs, rows, d, grads);
   }
 }
 

@@ -99,15 +99,17 @@ void GatherRows(KernelBackend backend, const float* src, std::size_t dim,
 
 /// c = a * b^T (a: m x k, b: n x k, c: m x n) — Linear::Forward. Each
 /// c(i,j) is one scalar chain over ascending k; the vectorized path
-/// packs b into k-major j-tiles and runs 8 j-chains per AVX2 lane set,
-/// preserving each chain's order exactly.
+/// packs b into k-major 16-column panels and advances a 4-row x
+/// 16-column register tile (8 accumulators) per k step, preserving each
+/// chain's order exactly.
 void MatmulABt(KernelBackend backend, const float* a, std::size_t m,
                std::size_t k, const float* b, std::size_t n, float* c);
 
 /// c = a * b (a: m x k, b: k x n, c: m x n), c zero-filled first —
 /// Linear::Backward's dX. Preserves the scalar path's a(i,k)==0 row
 /// skip (skipping changes bits when b holds non-finite values or -0
-/// outputs, so both paths must skip identically).
+/// outputs, so both paths must skip identically); the vectorized path
+/// compacts each row's nonzero a(i,k) once and walks that list.
 void MatmulAB(KernelBackend backend, const float* a, std::size_t m,
               std::size_t k, const float* b, std::size_t n, float* c);
 
@@ -118,6 +120,30 @@ void MatmulAB(KernelBackend backend, const float* a, std::size_t m,
 void AccumulateOuter(KernelBackend backend, const float* g,
                      std::size_t rows, std::size_t out_dim, const float* x,
                      std::size_t in_dim, float* grad_w, float* grad_b);
+
+// ---------------------------------------------------------------------------
+// Feature interaction (DLRM pairwise dot products)
+// ---------------------------------------------------------------------------
+
+/// nn::FeatureInteraction::Forward over f = inputs.size() matrices of
+/// rows x d: out(r, :) = [x_0(r, :) | <x_i(r, :), x_j(r, :)> for i < j],
+/// pairs in (i, j) order, each dot one scalar chain over ascending c.
+/// out is rows x (d + f(f-1)/2). The vectorized path runs lanes across
+/// j, never across c.
+void InteractionForward(KernelBackend backend,
+                        std::span<const float* const> inputs,
+                        std::size_t rows, std::size_t d, float* out);
+
+/// nn::FeatureInteraction::Backward: per row, grads[0] += the x_0 block
+/// of grad_out, then for each pair (i < j) in output order with
+/// gd = grad_out(r, pair) != 0, grads[i] += gd * x_j and
+/// grads[j] += gd * x_i. grads (rows x d each, aligned with inputs)
+/// accumulate; callers zero-fill them. The vectorized path runs lanes
+/// across c in the same (i, j) order.
+void InteractionBackward(KernelBackend backend, const float* grad_out,
+                         std::span<const float* const> inputs,
+                         std::size_t rows, std::size_t d,
+                         std::span<float* const> grads);
 
 // ---------------------------------------------------------------------------
 // Loss

@@ -3,6 +3,7 @@
 
 #include <vector>
 
+#include "kernels/backend.h"
 #include "nn/dense_matrix.h"
 #include "nn/op_stats.h"
 
@@ -31,7 +32,12 @@ class FeatureInteraction {
   [[nodiscard]] const OpStats& stats() const { return stats_; }
   void ResetStats() { stats_ = {}; }
 
+  /// Kernel backend for the dot products and their gradients (defaults
+  /// to the process-wide kernels::DefaultBackend()); bitwise-neutral.
+  void set_backend(kernels::KernelBackend b) { backend_ = b; }
+
  private:
+  kernels::KernelBackend backend_ = kernels::DefaultBackend();
   OpStats stats_;
 };
 

@@ -148,6 +148,7 @@ struct DistributedTrainer::RankState {
         }()) {
     bottom.set_backend(backend);
     top.set_backend(backend);
+    interaction.set_backend(backend);
   }
 };
 

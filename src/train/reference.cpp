@@ -456,6 +456,7 @@ void ReferenceDlrm::SetKernelBackend(kernels::KernelBackend b) {
   backend_ = b;
   bottom_mlp_.set_backend(b);
   top_mlp_.set_backend(b);
+  interaction_.set_backend(b);
   for (auto& t : tables_) t.set_backend(b);
 }
 

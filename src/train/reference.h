@@ -104,8 +104,9 @@ class ReferenceDlrm {
   [[nodiscard]] embstore::TierStats TierStats() const;
   void ResetTierStats();
 
-  /// Pins the kernel backend for every MLP layer, embedding table, and
-  /// loss/pooling call of this model (default: the process-wide
+  /// Pins the kernel backend for every MLP layer, the feature
+  /// interaction, every embedding table, and loss/pooling call of this
+  /// model (default: the process-wide
   /// kernels::DefaultBackend()). Both backends are bitwise-identical;
   /// the parity tests compare them explicitly.
   void SetKernelBackend(kernels::KernelBackend b);

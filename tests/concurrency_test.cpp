@@ -6,6 +6,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -74,20 +76,59 @@ TEST(ThreadPoolTest, ParallelForEmptyRangeIsNoOp) {
 }
 
 TEST(ThreadPoolTest, ParallelForRethrowsBodyException) {
-  ThreadPool pool(4);
+  // Bodies past the thrower wait for a release task that the thrower
+  // posts. The task opens the gate only on the thrower's own thread
+  // (elsewhere it re-queues itself), and that thread takes queued work
+  // only after leaving its claim loop, that is after the failure is
+  // recorded. Each other participant therefore claims at most one
+  // index past the thrower before it sees the failure.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kThrower = 17;
+  std::mutex mu;
+  std::condition_variable cv;
+  bool released = false;
+  std::atomic<bool> finished{false};
+  std::thread::id thrower;
+  std::function<void()> release;
+  ThreadPool pool(kThreads);
+  release = [&] {
+    if (std::this_thread::get_id() != thrower && !finished.load()) {
+      pool.Post(release);
+      return;
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      released = true;
+    }
+    cv.notify_all();
+  };
+  // Reached only if cancellation is broken: then the thrower never
+  // leaves its claim loop to open the gate.
+  const auto deadline = std::chrono::steady_clock::now() + 60s;
   std::atomic<int> ran{0};
   EXPECT_THROW(
       pool.ParallelFor(0, 1000,
                        [&](std::size_t i) {
                          ran.fetch_add(1);
-                         if (i == 17) {
+                         if (i == kThrower) {
+                           thrower = std::this_thread::get_id();
+                           pool.Post(release);
                            throw std::runtime_error("body failed");
+                         }
+                         if (i > kThrower) {
+                           std::unique_lock<std::mutex> lock(mu);
+                           cv.wait_until(lock, deadline,
+                                         [&] { return released; });
                          }
                        }),
       std::runtime_error);
+  finished = true;  // a still-queued release task now just finishes
   // Cancellation: the failure stops remaining indices from running
   // (some in-flight ones may still finish).
   EXPECT_LT(ran.load(), 1000);
+  // Indices 0..kThrower, plus at most one in-flight index per other
+  // participant (the workers and the caller); the rest never ran.
+  EXPECT_LE(ran.load(), static_cast<int>(kThrower + 1 + kThreads));
 }
 
 TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {

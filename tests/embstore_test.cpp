@@ -59,7 +59,8 @@ DenseMatrix RandomMatrix(std::size_t rows, std::size_t cols,
   if (a.rows() != b.rows() || a.cols() != b.cols()) {
     return ::testing::AssertionFailure() << "shape mismatch";
   }
-  if (std::memcmp(a.data().data(), b.data().data(), a.byte_size()) != 0) {
+  if (a.byte_size() != 0 &&
+      std::memcmp(a.data().data(), b.data().data(), a.byte_size()) != 0) {
     return ::testing::AssertionFailure() << "bytes differ";
   }
   return ::testing::AssertionSuccess();

@@ -19,6 +19,7 @@
 #include "kernels/backend.h"
 #include "kernels/kernels.h"
 #include "nn/embedding.h"
+#include "nn/interaction.h"
 #include "nn/loss.h"
 #include "nn/mlp.h"
 #include "reader/reader.h"
@@ -228,6 +229,147 @@ TEST(KernelParityTest, AccumulateOuter) {
                         gwb.data(), gbb.data());
         EXPECT_TRUE(BitwiseEq(gwa, gwb));
         EXPECT_TRUE(BitwiseEq(gba, gbb));
+      }
+    }
+  }
+}
+
+// Register-tile edges of the vectorized GEMMs: a-row counts around the
+// 4-row block, and column counts around the 16-column panel, the
+// 64-column tile and its masked tail.
+const std::vector<std::size_t> kTileRows = {1, 2, 3, 4,  5,
+                                            6, 7, 8, 9, 13, 128};
+const std::vector<std::size_t> kTileCols = {63, 64, 65, 127, 359};
+
+// NaN, ±Inf and -0 — values a skipped term must never touch.
+void PlantSpecials(float* row, std::size_t n) {
+  const float kSpecials[] = {std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity(),
+                             -0.0f};
+  for (std::size_t j = 0; j < n; ++j) row[j] = kSpecials[j % 4];
+}
+
+bool AllFinite(std::span<const float> v) {
+  for (const float x : v) {
+    if (!std::isfinite(x)) return false;
+  }
+  return true;
+}
+
+TEST(KernelParityTest, MatmulABtTileEdges) {
+  common::Rng rng(71);
+  for (const auto m : kTileRows) {
+    for (const auto k : kTileCols) {
+      for (const auto n : kTileCols) {
+        const auto a = RandVec(m * k, rng);
+        const auto b = RandVec(n * k, rng);
+        std::vector<float> ca(m * n, -2.0f), cb(m * n, 2.0f);
+        MatmulABt(kS, a.data(), m, k, b.data(), n, ca.data());
+        MatmulABt(kV, a.data(), m, k, b.data(), n, cb.data());
+        EXPECT_TRUE(BitwiseEq(ca, cb))
+            << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, MatmulABTileEdgesSkipNonFiniteRows) {
+  // Every 5th column of a is zero (+0 and -0) and the matching row of b
+  // holds NaN/±Inf/-0: the zero-skip must keep them out of c entirely.
+  common::Rng rng(73);
+  for (const auto m : kTileRows) {
+    for (const auto k : kTileCols) {
+      for (const auto n : kTileCols) {
+        auto a = RandVec(m * k, rng);
+        auto b = RandVec(k * n, rng);
+        for (std::size_t kk = 2; kk < k; kk += 5) {
+          for (std::size_t i = 0; i < m; ++i) {
+            a[i * k + kk] = i % 2 == 0 ? 0.0f : -0.0f;
+          }
+          PlantSpecials(b.data() + kk * n, n);
+        }
+        std::vector<float> ca(m * n, -2.0f), cb(m * n, 2.0f);
+        MatmulAB(kS, a.data(), m, k, b.data(), n, ca.data());
+        MatmulAB(kV, a.data(), m, k, b.data(), n, cb.data());
+        EXPECT_TRUE(BitwiseEq(ca, cb))
+            << "m=" << m << " k=" << k << " n=" << n;
+        EXPECT_TRUE(AllFinite(cb)) << "m=" << m << " k=" << k << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, AccumulateOuterTileEdgesSkipNonFiniteRows) {
+  // Every 5th batch row of g is zero (+0 and -0) and the matching row of
+  // x holds NaN/±Inf/-0: neither grad_w nor grad_b may see them.
+  common::Rng rng(79);
+  for (const auto rows : kTileRows) {
+    for (const auto out_dim : {1u, 9u, 64u}) {
+      for (const auto in_dim : kTileCols) {
+        auto g = RandVec(rows * out_dim, rng);
+        auto x = RandVec(rows * in_dim, rng);
+        for (std::size_t r = 2; r < rows; r += 5) {
+          for (std::size_t o = 0; o < out_dim; ++o) {
+            g[r * out_dim + o] = o % 2 == 0 ? 0.0f : -0.0f;
+          }
+          PlantSpecials(x.data() + r * in_dim, in_dim);
+        }
+        auto gwa = RandVec(out_dim * in_dim, rng);
+        auto gwb = gwa;
+        auto gba = RandVec(out_dim, rng);
+        auto gbb = gba;
+        AccumulateOuter(kS, g.data(), rows, out_dim, x.data(), in_dim,
+                        gwa.data(), gba.data());
+        AccumulateOuter(kV, g.data(), rows, out_dim, x.data(), in_dim,
+                        gwb.data(), gbb.data());
+        EXPECT_TRUE(BitwiseEq(gwa, gwb))
+            << "rows=" << rows << " out=" << out_dim << " in=" << in_dim;
+        EXPECT_TRUE(BitwiseEq(gba, gbb));
+        EXPECT_TRUE(AllFinite(gwb));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------- interaction --
+
+TEST(KernelParityTest, FeatureInteractionForwardBackward) {
+  // Inputs carry signed zeros (RandVec) and a sparse quiet NaN; grad_out
+  // carries exact ±0 so the pair-gradient skip is exercised.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  common::Rng rng(83);
+  const std::size_t rows = 3;
+  for (const std::size_t f : {1u, 2u, 7u, 8u, 9u, 22u, 33u}) {
+    for (const std::size_t d : {1u, 5u, 8u, 13u, 128u}) {
+      std::vector<nn::DenseMatrix> x(f, nn::DenseMatrix(rows, d));
+      std::vector<const nn::DenseMatrix*> ptrs;
+      for (std::size_t i = 0; i < f; ++i) {
+        const auto v = RandVec(rows * d, rng);
+        std::copy(v.begin(), v.end(), x[i].data().begin());
+        if (i % 5 == 3) x[i].data()[(i * 7) % (rows * d)] = nan;
+        ptrs.push_back(&x[i]);
+      }
+      nn::FeatureInteraction sa;
+      nn::FeatureInteraction sb;
+      sa.set_backend(kS);
+      sb.set_backend(kV);
+      const auto ya = sa.Forward(ptrs);
+      const auto yb = sb.Forward(ptrs);
+      EXPECT_TRUE(BitwiseEq(ya.data(), yb.data()))
+          << "forward F=" << f << " d=" << d;
+
+      nn::DenseMatrix grad(rows, ya.cols());
+      const auto gv = RandVec(grad.size(), rng);
+      std::copy(gv.begin(), gv.end(), grad.data().begin());
+      std::vector<nn::DenseMatrix> ga, gb;
+      sa.Backward(grad, ptrs, ga);
+      sb.Backward(grad, ptrs, gb);
+      ASSERT_EQ(ga.size(), f);
+      ASSERT_EQ(gb.size(), f);
+      for (std::size_t i = 0; i < f; ++i) {
+        EXPECT_TRUE(BitwiseEq(ga[i].data(), gb[i].data()))
+            << "backward input " << i << " F=" << f << " d=" << d;
       }
     }
   }
