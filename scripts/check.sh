@@ -7,8 +7,10 @@
 # `check.sh --tsan` instead builds the `tsan` preset (ThreadSanitizer,
 # see CMakePresets.json) and runs the concurrency-touching suites —
 # ThreadPool/Channel/Barrier, ReaderPool, the pipeline round trip, the
-# streaming pipeline, serving, and the executed distributed trainer —
-# under the race detector.
+# streaming pipeline, the executed distributed trainer, fault injection
+# and checkpoint recovery, the SIMD kernels, the tiered embedding store,
+# observability, and single- and multi-model serving — under the race
+# detector.
 #
 # `check.sh --asan` builds the `asan` preset (AddressSanitizer) and runs
 # the *full* test suite under the memory-error detector.
@@ -19,10 +21,12 @@
 #
 # `check.sh --smoke` builds every bench_* target and runs each with a
 # tiny workload (RECD_SMOKE=1, see bench::SmokeOr; Google-Benchmark
-# targets get a short --benchmark_min_time instead), so bench bit-rot
-# is caught by tier-1-adjacent tooling rather than at bench time. Smoke
-# numbers are meaningless as measurements — nothing is written to
-# BENCH_*.json.
+# targets get a short --benchmark_min_time instead), then runs every
+# example_* program, so bench and example bit-rot is caught by
+# tier-1-adjacent tooling rather than at bench time. bench_dist_train
+# runs traced, and its Chrome trace must carry spans for all four
+# exchanges and the train step. Smoke numbers are meaningless as
+# measurements — nothing is written to BENCH_*.json.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -59,7 +63,26 @@ run_phase() {
   fi
 }
 
-TSAN_FILTER='ThreadPool|Channel|Barrier|Collective|Distributed|EmbeddingShard|IkjtSlice|ReaderPool|PipelineRoundTrip|Scribe|Storage|ColumnFile|Stream|WindowedEtl|TrafficSource|Serve|Batcher|QueryGenerator|Checkpoint|Fault|Kernel|Embstore|Obs'
+# The dist-train smoke, traced: the trace must load and carry a span for
+# every exchange and for the train step.
+smoke_dist_train_traced() {
+  local trace rc=0
+  trace=$(mktemp /tmp/recd_smoke_trace.XXXXXX.json)
+  "$1" --trace "$trace" && python3 - "$trace" <<'EOF' || rc=$?
+import json, sys
+events = json.load(open(sys.argv[1]))["traceEvents"]
+names = {e["name"] for e in events}
+need = {"exchange/sdd", "exchange/emb", "exchange/grad",
+        "exchange/allreduce", "train/step"}
+missing = need - names
+assert not missing, f"trace missing spans: {missing}"
+print(f"trace ok: {len(events)} events, spans {sorted(names)}")
+EOF
+  rm -f "$trace"
+  return "$rc"
+}
+
+TSAN_FILTER='ThreadPool|Channel|Barrier|Collective|Distributed|EmbeddingShard|IkjtSlice|ReaderPool|PipelineRoundTrip|Scribe|Storage|ColumnFile|Stream|WindowedEtl|TrafficSource|Serve|Batcher|QueryGenerator|Checkpoint|Fault|Kernel|Embstore|Obs|Checksum|DeadPeer|Straggler|MultiModel|Scheduler|ModelServer'
 
 case "${1:-}" in
   --tsan)
@@ -92,6 +115,9 @@ case "${1:-}" in
         */bench_micro_*)
           run_phase "smoke: ${bench#build/}" \
             "$bench" --benchmark_min_time=0.02 ;;
+        */bench_dist_train)
+          run_phase "smoke: ${bench#build/} (traced)" \
+            smoke_dist_train_traced "$bench" ;;
         *)
           run_phase "smoke: ${bench#build/}" "$bench" ;;
       esac
@@ -101,7 +127,14 @@ case "${1:-}" in
         "(RECD_BUILD_BENCH off?)" >&2
       exit 1
     fi
-    echo "smoke: all $smoke_count bench targets ran clean"
+    example_count=0
+    for example in build/example_*; do
+      [ -x "$example" ] || continue
+      example_count=$((example_count + 1))
+      run_phase "smoke: ${example#build/}" "$example"
+    done
+    echo "smoke: all $smoke_count bench targets and $example_count" \
+      "examples ran clean"
     ;;
   --strict)
     run_phase "configure (strict)" cmake --preset strict

@@ -15,7 +15,7 @@
 #include "core/characterize.h"
 #include "datagen/generator.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "scribe/scribe.h"
 #include "storage/table.h"
 #include "train/trainer_sim.h"

@@ -9,12 +9,10 @@
 
 namespace recd::reader {
 
-BatchPipeline::BatchPipeline(const storage::StorageSchema& schema,
-                             const DataLoaderConfig& config, bool use_ikjt)
-    : schema_(&schema), config_(&config), use_ikjt_(use_ikjt) {}
+namespace {
 
-storage::ReadProjection BatchPipeline::BuildProjection(
-    const storage::StorageSchema& schema, const DataLoaderConfig& config) {
+storage::ReadProjection BuildProjection(const storage::StorageSchema& schema,
+                                        const DataLoaderConfig& config) {
   storage::ReadProjection p;
   p.dense = config.dense;
   for (const auto& name : config.sparse_features) {
@@ -30,6 +28,15 @@ storage::ReadProjection BatchPipeline::BuildProjection(
   }
   return p;
 }
+
+}  // namespace
+
+BatchPipeline::BatchPipeline(const storage::StorageSchema& schema,
+                             const DataLoaderConfig& config, bool use_ikjt)
+    : schema_(&schema),
+      config_(&config),
+      use_ikjt_(use_ikjt),
+      projection_(BuildProjection(schema, config)) {}
 
 PreprocessedBatch BatchPipeline::Convert(
     std::vector<datagen::Sample> rows) const {

@@ -1,8 +1,10 @@
 // BatchPipeline: the Convert and Process stages of a reader (paper
-// Fig 5), factored out of the scan loop so the single-threaded Reader
-// and the parallel ReaderPool run the *same* code on a batch's rows —
-// which is what makes "N workers produce byte-identical batches" a
-// structural property instead of a test-enforced coincidence.
+// Fig 5) plus the storage projection its Fill stage reads. The reader
+// scan — ReaderPool inline or on worker threads, and
+// stream::TailingReader — runs the *same* object on every batch's rows
+// (through reader::FillStripe / reader::PrepareBatch), which is what
+// makes "N workers produce byte-identical batches" a structural
+// property instead of a test-enforced coincidence.
 #pragma once
 
 #include <cstddef>
@@ -18,7 +20,9 @@ namespace recd::reader {
 class BatchPipeline {
  public:
   /// Holds references: `schema` and `config` must outlive the pipeline
-  /// (both owners — Reader and ReaderPool — keep them as members).
+  /// (both owners — ReaderPool and stream::TailingReader — keep them as
+  /// members). Throws std::out_of_range if the config names a feature
+  /// missing from the schema.
   BatchPipeline(const storage::StorageSchema& schema,
                 const DataLoaderConfig& config, bool use_ikjt);
 
@@ -32,15 +36,19 @@ class BatchPipeline {
   /// number of sparse elements the transforms touched.
   std::size_t Process(PreprocessedBatch& batch) const;
 
+  [[nodiscard]] const storage::StorageSchema& schema() const {
+    return *schema_;
+  }
   /// The storage projection covering every feature the config consumes.
-  /// Throws std::out_of_range if the config names an unknown feature.
-  [[nodiscard]] static storage::ReadProjection BuildProjection(
-      const storage::StorageSchema& schema, const DataLoaderConfig& config);
+  [[nodiscard]] const storage::ReadProjection& projection() const {
+    return projection_;
+  }
 
  private:
   const storage::StorageSchema* schema_;
   const DataLoaderConfig* config_;
   bool use_ikjt_;
+  storage::ReadProjection projection_;
 };
 
 }  // namespace recd::reader

@@ -15,9 +15,7 @@ TailingReader::TailingReader(storage::BlobStore& store,
     : store_(&store),
       schema_(std::move(schema)),
       config_(std::move(config)),
-      options_(options),
-      projection_(reader::BatchPipeline::BuildProjection(schema_, config_)),
-      pipeline_(schema_, config_, options_.use_ikjt),
+      pipeline_(schema_, config_, options.use_ikjt),
       pool_(pool),
       sink_(std::move(sink)) {
   if (config_.batch_size == 0) {
@@ -29,33 +27,25 @@ TailingReader::TailingReader(storage::BlobStore& store,
 
 bool TailingReader::Offer(const LandedWindow& window) {
   for (const auto& name : window.files) {
-    // Fill (paper Fig 5): open the fresh file, then fetch + decrypt +
-    // decompress + decode every stripe. Stripes decode concurrently on
-    // the pool and reassemble in stripe order, and IO is accounted
-    // analytically (open_bytes + per-stripe StripeBytes) exactly like
-    // reader::ReaderPool — which is what keeps the stream's ReaderIoStats
-    // identical to the batch reader's for any thread count.
-    common::Stopwatch fill;
-    fill.Start();
-    storage::ColumnFileReader file(*store_, name);
-    io_.bytes_read += file.open_bytes();
+    // Fill every stripe of the fresh file: stripes decode concurrently
+    // on the pool, each into its own tally, and reassemble in stripe
+    // order.
+    const auto file = reader::OpenForScan(*store_, name, tally_);
     const std::size_t stripes = file.num_stripes();
     std::vector<std::vector<datagen::Sample>> decoded(stripes);
-    const auto read_one = [&](std::size_t s) {
-      decoded[s] = file.ReadStripe(s, projection_);
+    std::vector<reader::ScanTally> tallies(stripes);
+    const auto fill_one = [&](std::size_t s) {
+      decoded[s] = reader::FillStripe(pipeline_, file, s, tallies[s]);
     };
     if (pool_ != nullptr && stripes > 1) {
-      pool_->ParallelFor(0, stripes, read_one);
+      pool_->ParallelFor(0, stripes, fill_one);
     } else {
-      for (std::size_t s = 0; s < stripes; ++s) read_one(s);
+      for (std::size_t s = 0; s < stripes; ++s) fill_one(s);
     }
     for (std::size_t s = 0; s < stripes; ++s) {
-      io_.bytes_read += file.StripeBytes(s, projection_);
-      io_.rows_read += decoded[s].size();
+      tally_ += tallies[s];
       for (auto& row : decoded[s]) buffer_.push_back(std::move(row));
     }
-    fill.Stop();
-    times_.fill_s += fill.seconds();
 
     while (buffer_.size() >= config_.batch_size) {
       if (!EmitBatch(config_.batch_size)) return false;
@@ -70,31 +60,13 @@ bool TailingReader::Finish() {
   bool ok = true;
   if (!buffer_.empty()) ok = EmitBatch(buffer_.size());
   wall_.Stop();
-  times_.wall_s = wall_.seconds();
+  tally_.times.wall_s = wall_.seconds();
   return ok;
 }
 
 bool TailingReader::EmitBatch(std::size_t take) {
-  std::vector<datagen::Sample> rows;
-  rows.reserve(take);
-  for (std::size_t i = 0; i < take; ++i) {
-    rows.push_back(std::move(buffer_.front()));
-    buffer_.pop_front();
-  }
-  common::Stopwatch convert_sw;
-  convert_sw.Start();
-  reader::PreprocessedBatch batch = pipeline_.Convert(std::move(rows));
-  convert_sw.Stop();
-  times_.convert_s += convert_sw.seconds();
-
-  common::Stopwatch process_sw;
-  process_sw.Start();
-  io_.sparse_elements_processed += pipeline_.Process(batch);
-  process_sw.Stop();
-  times_.process_s += process_sw.seconds();
-
-  io_.bytes_sent += batch.WireBytes();
-  io_.batches_produced += 1;
+  auto batch = reader::PrepareBatch(
+      pipeline_, reader::TakeRows(buffer_, take), tally_);
   return sink_ ? sink_(std::move(batch)) : true;
 }
 

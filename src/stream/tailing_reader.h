@@ -6,19 +6,20 @@
 // production reader fleet instead tails the table as the periodic ETL
 // lands partition after partition (Zhao et al., "Understanding Data
 // Storage and Ingestion for Large-Scale Deep Recommendation Model
-// Training"). TailingReader runs the same Fig-5 stages over each
-// arriving window: Fill (open the new files, fetch + decrypt +
-// decompress + decode their stripes — pool-parallel with ordered
-// reassembly), then batch cutting, Convert, and Process through the
-// shared reader::BatchPipeline.
+// Training"). TailingReader runs the pool's own Fig-5 steps over each
+// arriving window: reader::OpenForScan + reader::FillStripe per stripe
+// (pool-parallel with ordered reassembly), then reader::PrepareBatch
+// (Convert → Process, with the same stage timers, spans, and io
+// accounting) per batch. What it keeps for itself is push-based batch
+// cutting.
 //
 // Batch cutting is continuous across windows: leftover rows from one
 // window wait for the next (exactly as the batch reader carries rows
 // across partition boundaries), and only end-of-stream flushes a final
-// partial batch. Together with the analytic per-stripe byte accounting
-// this makes the one-whole-window stream deliver the byte-identical
-// batch stream — and identical ReaderIoStats — of the batch reader
-// (docs/ARCHITECTURE.md §8).
+// partial batch. Together with the shared analytic per-stripe byte
+// accounting this makes the one-whole-window stream deliver the
+// byte-identical batch stream — and identical ReaderIoStats — of the
+// batch reader (docs/ARCHITECTURE.md §8).
 #pragma once
 
 #include <cstddef>
@@ -31,9 +32,8 @@
 #include "reader/batch.h"
 #include "reader/batch_pipeline.h"
 #include "reader/dataloader.h"
-#include "reader/reader.h"
+#include "reader/reader_pool.h"
 #include "storage/blob_store.h"
-#include "storage/column_file.h"
 #include "stream/windowed_etl.h"
 
 namespace recd::common {
@@ -68,9 +68,12 @@ class TailingReader {
   /// End of stream: emits the final partial batch, if any.
   bool Finish();
 
-  /// Aggregated stage times; wall_s spans construction → Finish.
-  [[nodiscard]] const reader::StageTimes& times() const { return times_; }
-  [[nodiscard]] const reader::ReaderIoStats& io() const { return io_; }
+  /// Aggregated stage times: fill/convert/process are CPU seconds
+  /// summed across pool threads; wall_s spans construction → Finish.
+  [[nodiscard]] const reader::StageTimes& times() const {
+    return tally_.times;
+  }
+  [[nodiscard]] const reader::ReaderIoStats& io() const { return tally_.io; }
 
  private:
   bool EmitBatch(std::size_t take);
@@ -78,15 +81,12 @@ class TailingReader {
   storage::BlobStore* store_;
   storage::StorageSchema schema_;
   reader::DataLoaderConfig config_;
-  reader::ReaderOptions options_;
-  storage::ReadProjection projection_;
   reader::BatchPipeline pipeline_;
   common::ThreadPool* pool_;
   Sink sink_;
 
   std::deque<datagen::Sample> buffer_;  // rows awaiting batch cutting
-  reader::StageTimes times_;
-  reader::ReaderIoStats io_;
+  reader::ScanTally tally_;
   common::Stopwatch wall_;
   bool finished_ = false;
 };

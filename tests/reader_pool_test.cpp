@@ -1,6 +1,6 @@
 // ReaderPool determinism tests: the parallel reader must produce the
 // byte-identical batch stream — same batches, same order, same values,
-// same io() counters — as the single-threaded Reader, for any worker
+// same io() counters — as the inline (one-worker) scan, for any worker
 // count (the ordered-reassembly rule of docs/ARCHITECTURE.md §7).
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include "datagen/generator.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
-#include "reader/reader.h"
 #include "reader/reader_pool.h"
 #include "storage/blob_store.h"
 #include "storage/table.h"
@@ -126,8 +125,7 @@ struct Stream {
   ReaderIoStats io;
 };
 
-template <typename Rdr>
-Stream Drain(Rdr& rdr) {
+Stream Drain(ReaderPool& rdr) {
   Stream s;
   while (auto batch = rdr.NextBatch()) {
     s.batches.push_back(Fingerprint(*batch));
@@ -136,32 +134,21 @@ Stream Drain(Rdr& rdr) {
   return s;
 }
 
-TEST(ReaderPoolTest, OneWorkerMatchesPlainReader) {
-  auto fixture = MakeFixture();
-  Reader plain(fixture.store, fixture.table,
-               MakeLoader(fixture.model, 1));
-  const auto plain_stream = Drain(plain);
-
-  auto pool_fixture = MakeFixture();
-  ReaderPool pool(pool_fixture.store, pool_fixture.table,
-                  MakeLoader(pool_fixture.model, 1));
-  EXPECT_EQ(pool.num_workers(), 1u);
-  const auto pool_stream = Drain(pool);
-
-  ASSERT_FALSE(plain_stream.batches.empty());
-  EXPECT_EQ(plain_stream.batches, pool_stream.batches);
-}
-
 TEST(ReaderPoolTest, WorkerCountDoesNotChangeTheBatchStream) {
   // The acceptance invariant: 1, 2, and 8 workers deliver identical
   // batch streams and identical io counters.
   std::vector<Stream> streams;
   for (const std::size_t workers : {1u, 2u, 8u}) {
     auto fixture = MakeFixture();
+    const std::size_t store_before = fixture.store.stats().bytes_read;
     ReaderPool pool(fixture.store, fixture.table,
                     MakeLoader(fixture.model, workers));
     streams.push_back(Drain(pool));
     ASSERT_FALSE(streams.back().batches.empty());
+    // The analytic byte accounting equals what the store measured.
+    EXPECT_EQ(streams.back().io.bytes_read,
+              fixture.store.stats().bytes_read - store_before)
+        << "workers=" << workers;
   }
   for (std::size_t i = 1; i < streams.size(); ++i) {
     EXPECT_EQ(streams[0].batches, streams[i].batches)

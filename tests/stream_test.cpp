@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -22,6 +24,7 @@
 #include "pipeline_counters.h"
 #include "datagen/presets.h"
 #include "etl/etl.h"
+#include "obs/trace.h"
 #include "reader/reader_pool.h"
 #include "storage/blob_store.h"
 #include "storage/column_file.h"
@@ -211,6 +214,43 @@ TEST(StreamPipelineTest, MultiWindowRunsAreThreadCountInvariant) {
   // Default lateness matches the reorder bound: nothing may drop.
   EXPECT_EQ(a.late_features, 0u);
   EXPECT_EQ(a.unjoined_features, 0u);
+}
+
+// Every reader scan path records its Fill, Convert, and Process spans:
+// the inline one-worker ReaderPool, the two-worker pool, and the
+// streaming TailingReader all run the same shared stage code.
+TEST(StreamPipelineTest, EveryReaderScanPathRecordsStageSpans) {
+  const auto spec = MakeSpec();
+  const auto model = MakeModel(spec);
+  obs::Tracer& tracer = obs::Tracer::Global();
+  const auto reader_spans = [&](const std::function<void()>& scan) {
+    tracer.Start();
+    scan();
+    tracer.Stop();
+    const std::string json = tracer.ToJson();
+    tracer.Clear();
+    std::set<std::string> found;
+    for (const std::string name :
+         {"reader/fill", "reader/convert", "reader/process"}) {
+      if (json.find('"' + name + '"') != std::string::npos) {
+        found.insert(name);
+      }
+    }
+    return found;
+  };
+  const std::set<std::string> all = {"reader/fill", "reader/convert",
+                                     "reader/process"};
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+    core::PipelineRunner batch(spec, model, train::ZionEx(8),
+                               MakeOptions(workers));
+    EXPECT_EQ(reader_spans([&] { (void)batch.Run(MakeConfig()); }), all)
+        << "ReaderPool workers=" << workers;
+  }
+  EXPECT_EQ(reader_spans([] {
+              (void)RunStream(1, /*window=*/700, /*reorder=*/0);
+            }),
+            all)
+      << "stream";
 }
 
 // Splitting sessions across windows must cost dedup capture: the same
