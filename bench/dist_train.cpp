@@ -30,6 +30,7 @@
 #include "datagen/generator.h"
 #include "etl/etl.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "obs/trace.h"
 #include "reader/reader_pool.h"
 #include "storage/table.h"
@@ -48,6 +49,9 @@ long MinorFaults() {
 
 int main(int argc, char** argv) {
   using namespace recd;
+  // RECD_OBS=1 turns on the `*_us` timing series in obs_metrics;
+  // RECD_OBS_TRACE=<path> also traces the run (written at exit).
+  obs::ConfigureFromEnv();
   bench::JsonReport report("bench_dist_train");
   bench::PrintHeader(
       "Executed hybrid-parallel training: ranks x baseline/RecD (RM1)");
@@ -276,6 +280,7 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (%zu trace events, %zu dropped)\n", trace_path,
                 tracer.event_count(), tracer.dropped_events());
   }
+  if (!obs::FlushTrace()) return 1;  // RECD_OBS_TRACE=<path>
   report.SetEmbeddedJson("obs_metrics", obs_snapshot.ToJson());
   if (!report.WriteIfRequested(argc, argv)) return 1;
   return ok ? 0 : 1;

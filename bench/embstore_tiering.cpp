@@ -136,7 +136,7 @@ RunResult RunConfig(const Trace& trace, std::size_t hash_size,
 
   auto forward = [&](std::size_t b) {
     return recd ? table.FusedPooledForward(trace.unique[b], trace.inverse[b])
-                : table.PooledForward(trace.expanded[b], nn::PoolingKind::kSum);
+                : table.PooledForward(trace.expanded[b]);
   };
 
   for (std::size_t b = 0; b < trace.expanded.size(); ++b) (void)forward(b);
@@ -153,8 +153,7 @@ RunResult RunConfig(const Trace& trace, std::size_t hash_size,
     // Sparse SGD on the jt the forward consumed (unique rows on the
     // RecD path), driving the update + dirty-eviction writeback path.
     const auto& jt = recd ? trace.unique[b] : trace.expanded[b];
-    table.ApplyPooledGradient(jt, FakeGrad(jt.num_rows(), dim, b),
-                              nn::PoolingKind::kSum, 0.05f);
+    table.ApplyPooledGradient(jt, FakeGrad(jt.num_rows(), dim, b), 0.05f);
   }
   r.tier = table.tier_stats();
   r.fwd_ms_per_batch = sw.seconds() * 1e3 /

@@ -190,22 +190,20 @@ int main(int argc, char** argv) {
     const auto grad = RandVec(batch * dim, rng);
     auto w_scalar = weights;
     auto w_vec = weights;
-    kernels::ScatterSgdUpdate(kS, ejt0, grad.data(), kernels::Pool::kSum,
-                              0.01f, w_scalar.data(), hash_size, dim);
-    kernels::ScatterSgdUpdate(kV, ejt0, grad.data(), kernels::Pool::kSum,
-                              0.01f, w_vec.data(), hash_size, dim);
+    kernels::ScatterSgdUpdate(kS, ejt0, grad.data(), 0.01f, w_scalar.data(),
+                              hash_size, dim);
+    kernels::ScatterSgdUpdate(kV, ejt0, grad.data(), 0.01f, w_vec.data(),
+                              hash_size, dim);
     RequireBitwise(w_scalar, w_vec, "scatter sgd update");
     Row r3{"scatter_sgd_update"};
     r3.work = static_cast<double>(ejt0.total_values()) * dim;
     r3.bytes = r3.work * 3 * sizeof(float);  // read w + grad, write w
     r3.scalar_s = SecondsPerPass(trials, reps, [&] {
-      kernels::ScatterSgdUpdate(kS, ejt0, grad.data(),
-                                kernels::Pool::kSum, 0.01f,
+      kernels::ScatterSgdUpdate(kS, ejt0, grad.data(), 0.01f,
                                 w_scalar.data(), hash_size, dim);
     });
     r3.vec_s = SecondsPerPass(trials, reps, [&] {
-      kernels::ScatterSgdUpdate(kV, ejt0, grad.data(),
-                                kernels::Pool::kSum, 0.01f, w_vec.data(),
+      kernels::ScatterSgdUpdate(kV, ejt0, grad.data(), 0.01f, w_vec.data(),
                                 hash_size, dim);
     });
     rows.push_back(r3);

@@ -15,6 +15,7 @@
 #include "bench_util.h"
 #include "datagen/presets.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "serve/server_runner.h"
 #include "train/model.h"
 
@@ -93,6 +94,9 @@ void AddMetrics(JsonReport& report, const std::string& prefix,
 int main(int argc, char** argv) {
   using namespace recd;
   using namespace recd::bench;
+  // RECD_OBS=1 turns on the `*_us` timing series in obs_metrics;
+  // RECD_OBS_TRACE=<path> also traces the run (written at exit).
+  obs::ConfigureFromEnv();
 
   const auto b = MakeServeBench();
   const std::size_t num_requests = SmokeOr<std::size_t>(600, 48);
@@ -220,6 +224,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!obs::FlushTrace()) return 1;  // RECD_OBS_TRACE=<path>
   report.SetEmbeddedJson("obs_metrics", obs_snapshot.ToJson());
   if (!report.WriteIfRequested(argc, argv)) return 1;
   return tier_ok ? 0 : 1;

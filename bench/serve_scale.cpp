@@ -26,6 +26,7 @@
 #include "bench_util.h"
 #include "datagen/presets.h"
 #include "obs/metrics.h"
+#include "obs/obs.h"
 #include "serve/model_zoo.h"
 #include "serve/query_gen.h"
 #include "serve/scheduler.h"
@@ -104,6 +105,9 @@ bool SameScores(const std::vector<serve::ScoredRequest>& a,
 int main(int argc, char** argv) {
   using namespace recd;
   using namespace recd::bench;
+  // RECD_OBS=1 turns on the `*_us` timing series in obs_metrics;
+  // RECD_OBS_TRACE=<path> also traces the run (written at exit).
+  obs::ConfigureFromEnv();
 
   auto dataset = datagen::RmDataset(datagen::RmKind::kRm2, 0.08);
   dataset.concurrent_sessions = 16;  // few users => cross-request dedupe
@@ -361,6 +365,7 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!obs::FlushTrace()) return 1;  // RECD_OBS_TRACE=<path>
   report.SetEmbeddedJson("obs_metrics", obs_snapshot.ToJson());
   if (!report.WriteIfRequested(argc, argv)) return 1;
   return ok ? 0 : 1;

@@ -56,10 +56,8 @@ int main() {
   // --- 4. Pooled embedding over both representations. -------------------
   common::Rng rng(42);
   nn::EmbeddingTable table(1000, 8, rng);
-  const auto pooled_kjt =
-      table.PooledForward(kjt.Get("feature_b"), nn::PoolingKind::kSum);
-  auto pooled_unique =
-      table.PooledForward(ikjt_b.Unique("feature_b"), nn::PoolingKind::kSum);
+  const auto pooled_kjt = table.PooledForward(kjt.Get("feature_b"));
+  auto pooled_unique = table.PooledForward(ikjt_b.Unique("feature_b"));
   const auto pooled_ikjt =
       train::ExpandRows(pooled_unique, ikjt_b.inverse_lookup());
 

@@ -26,7 +26,8 @@
 # example_* program, so bench and example bit-rot is caught by
 # tier-1-adjacent tooling rather than at bench time. bench_dist_train
 # runs traced, and its Chrome trace must carry spans for all four
-# exchanges and the train step. Smoke numbers are meaningless as
+# exchanges and the train step; it runs again under RECD_OBS=1 and must
+# record a nonzero comm.wait_us. Smoke numbers are meaningless as
 # measurements — nothing is written to BENCH_*.json.
 set -euo pipefail
 
@@ -83,6 +84,23 @@ EOF
   return "$rc"
 }
 
+# The dist-train smoke under RECD_OBS=1: the bench must honour the
+# variable, so its obs_metrics carry a nonzero comm.wait_us (exchange
+# wait time is recorded only while obs is on).
+smoke_dist_train_obs() {
+  local json rc=0
+  json=$(mktemp /tmp/recd_smoke_obs.XXXXXX.json)
+  RECD_OBS=1 "$1" --json "$json" && python3 - "$json" <<'EOF' || rc=$?
+import json, sys
+series = json.load(open(sys.argv[1]))["obs_metrics"]["series"]
+wait = sum(s["value"] for s in series if s["name"] == "comm.wait_us")
+assert wait > 0, "RECD_OBS=1 recorded no comm.wait_us"
+print(f"obs ok: comm.wait_us total {wait}")
+EOF
+  rm -f "$json"
+  return "$rc"
+}
+
 TSAN_FILTER='ThreadPool|Channel|Barrier|Collective|Distributed|EmbeddingShard|IkjtSlice|ReaderPool|PipelineRoundTrip|Scribe|Storage|ColumnFile|Stream|WindowedEtl|TrafficSource|Serve|Batcher|QueryGenerator|Checkpoint|Fault|Kernel|Embstore|Obs|Checksum|DeadPeer|Straggler|MultiModel|Scheduler|ModelServer'
 
 case "${1:-}" in
@@ -123,7 +141,9 @@ case "${1:-}" in
             "$bench" --benchmark_min_time=0.02 ;;
         */bench_dist_train)
           run_phase "smoke: ${bench#build/} (traced)" \
-            smoke_dist_train_traced "$bench" ;;
+            smoke_dist_train_traced "$bench"
+          run_phase "smoke: ${bench#build/} (RECD_OBS=1)" \
+            smoke_dist_train_obs "$bench" ;;
         *)
           run_phase "smoke: ${bench#build/}" "$bench" ;;
       esac

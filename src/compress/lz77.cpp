@@ -113,14 +113,38 @@ std::vector<std::byte> Lz77Codec::Decompress(
     std::span<const std::byte> input) const {
   common::ByteReader in(input);
   const std::uint64_t raw_size = in.GetVarint();
+  // Each token takes at least 2 input bytes (two varints) and emits its
+  // literals plus at most max_match match bytes, so the rest of the
+  // input bounds what it can produce. Saturating, so a huge max_match
+  // cannot wrap the bound.
+  const std::uint64_t rest = in.remaining();
+  const std::uint64_t tokens = rest / 2;
+  const std::uint64_t max_match = options_.max_match;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t bound =
+      tokens != 0 && max_match > (kMax - rest) / tokens
+          ? kMax
+          : rest + tokens * max_match;
+  if (raw_size > bound) {
+    throw common::ByteStreamError("Lz77: declared size exceeds input bound");
+  }
   std::vector<std::byte> out;
-  out.reserve(raw_size);
+  // Reserve only what the input itself could hold; real output beyond
+  // that grows with the bytes actually decoded.
+  out.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(raw_size, 8 * input.size())));
   while (out.size() < raw_size || !in.AtEnd()) {
     const std::uint64_t literal_len = in.GetVarint();
+    if (literal_len > raw_size - out.size()) {
+      throw common::ByteStreamError("Lz77: literal run past declared size");
+    }
     auto lit = in.GetBytes(literal_len);
     out.insert(out.end(), lit.begin(), lit.end());
     const std::uint64_t match_len = in.GetVarint();
     if (match_len == 0) break;
+    if (match_len > max_match || match_len > raw_size - out.size()) {
+      throw common::ByteStreamError("Lz77: invalid match length");
+    }
     const std::uint64_t distance = in.GetVarint();
     if (distance == 0 || distance > out.size()) {
       throw common::ByteStreamError("Lz77: invalid match distance");

@@ -7,6 +7,11 @@
 // 4 bytes; window is 1 MiB so duplicate feature rows that land in the
 // same stripe — even hundreds of KB apart — still match, which is exactly
 // the mechanism the paper's clustering optimization (O2) exploits.
+//
+// The decoder is total: a raw_size the input cannot produce, a literal
+// or match longer than what is left of raw_size, or a match longer than
+// max_match raises common::ByteStreamError. Decode with the max_match
+// the frame was encoded with.
 #pragma once
 
 #include "compress/codec.h"

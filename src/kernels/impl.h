@@ -14,17 +14,14 @@
 
 namespace recd::kernels::detail {
 
-void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
-                  std::size_t hash_size, std::size_t dim, Pool pool,
-                  float* out);
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out);
 void FusedPooledLookup(std::span<const GroupFeature> group,
                        std::span<const std::int64_t> inverse,
                        std::size_t dim, float* out);
 void ScatterSgdUpdate(const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim);
 void MatmulABt(const float* a, std::size_t m, std::size_t k, const float* b,
                std::size_t n, float* c);
 void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
@@ -49,7 +46,6 @@ void AddRowBias(float* y, std::size_t rows, std::size_t cols,
 void ReluInPlace(float* v, std::size_t n);
 void ReluMask(float* g, const float* pre, std::size_t n);
 void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale);
-void DenseClamp(float* x, std::size_t n, float lo, float hi);
 
 /// Slot buckets of an inverse lookup: slots[offsets[u] .. offsets[u+1])
 /// lists the batch slots mapping to unique row u, in ascending slot
@@ -68,17 +64,14 @@ namespace recd::kernels::simd {
 // Same contracts as the detail:: functions; bitwise-identical results.
 // On platforms without AVX2 these are thin wrappers over detail:: (the
 // dispatcher never selects them there, but they must link).
-void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
-                  std::size_t hash_size, std::size_t dim, Pool pool,
-                  float* out);
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out);
 void FusedPooledLookup(std::span<const GroupFeature> group,
                        std::span<const std::int64_t> inverse,
                        std::size_t dim, float* out);
 void ScatterSgdUpdate(const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim);
 void MatmulABt(const float* a, std::size_t m, std::size_t k, const float* b,
                std::size_t n, float* c);
 void MatmulAB(const float* a, std::size_t m, std::size_t k, const float* b,
@@ -103,6 +96,5 @@ void AddRowBias(float* y, std::size_t rows, std::size_t cols,
 void ReluInPlace(float* v, std::size_t n);
 void ReluMask(float* g, const float* pre, std::size_t n);
 void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale);
-void DenseClamp(float* x, std::size_t n, float lo, float hi);
 
 }  // namespace recd::kernels::simd

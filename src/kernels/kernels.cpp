@@ -35,43 +35,6 @@ InverseBuckets BucketInverse(std::span<const std::int64_t> inverse,
   return b;
 }
 
-void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
-                  std::size_t hash_size, std::size_t dim, Pool pool,
-                  float* out) {
-  const std::size_t rows = batch.num_rows();
-  std::fill_n(out, rows * dim, 0.0f);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto ids = batch.row(r);
-    if (ids.empty()) continue;
-    float* orow = out + r * dim;
-    switch (pool) {
-      case Pool::kSum:
-      case Pool::kMean: {
-        for (const auto id : ids) {
-          const float* w = weights + TableRow(id, hash_size) * dim;
-          for (std::size_t c = 0; c < dim; ++c) orow[c] += w[c];
-        }
-        if (pool == Pool::kMean) {
-          const float inv = 1.0f / static_cast<float>(ids.size());
-          for (std::size_t c = 0; c < dim; ++c) orow[c] *= inv;
-        }
-        break;
-      }
-      case Pool::kMax: {
-        const float* w0 = weights + TableRow(ids[0], hash_size) * dim;
-        std::memcpy(orow, w0, dim * sizeof(float));
-        for (std::size_t i = 1; i < ids.size(); ++i) {
-          const float* w = weights + TableRow(ids[i], hash_size) * dim;
-          for (std::size_t c = 0; c < dim; ++c) {
-            orow[c] = std::max(orow[c], w[c]);
-          }
-        }
-        break;
-      }
-    }
-  }
-}
-
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out) {
   const std::size_t rows = group.front().jt->num_rows();
@@ -110,19 +73,14 @@ void FusedPooledLookup(std::span<const GroupFeature> group,
 }
 
 void ScatterSgdUpdate(const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim) {
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim) {
   const std::size_t rows = batch.num_rows();
   for (std::size_t r = 0; r < rows; ++r) {
-    const auto ids = batch.row(r);
-    if (ids.empty()) continue;
     const float* g = grad + r * dim;
-    const float scale = pool == Pool::kMean
-                            ? lr / static_cast<float>(ids.size())
-                            : lr;
-    for (const auto id : ids) {
+    for (const auto id : batch.row(r)) {
       float* w = weights + TableRow(id, hash_size) * dim;
-      for (std::size_t c = 0; c < dim; ++c) w[c] -= scale * g[c];
+      for (std::size_t c = 0; c < dim; ++c) w[c] -= lr * g[c];
     }
   }
 }
@@ -284,10 +242,6 @@ void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale) {
   for (std::size_t i = 0; i < n; ++i) x[i] = (x[i] - mean) * inv_scale;
 }
 
-void DenseClamp(float* x, std::size_t n, float lo, float hi) {
-  for (std::size_t i = 0; i < n; ++i) x[i] = std::clamp(x[i], lo, hi);
-}
-
 }  // namespace detail
 
 namespace {
@@ -297,16 +251,6 @@ namespace {
 }
 
 }  // namespace
-
-void PooledLookup(KernelBackend backend, const tensor::JaggedTensor& batch,
-                  const float* weights, std::size_t hash_size,
-                  std::size_t dim, Pool pool, float* out) {
-  if (UseSimd(backend)) {
-    simd::PooledLookup(batch, weights, hash_size, dim, pool, out);
-  } else {
-    detail::PooledLookup(batch, weights, hash_size, dim, pool, out);
-  }
-}
 
 void SumPoolGroup(KernelBackend backend,
                   std::span<const GroupFeature> group, std::size_t dim,
@@ -331,13 +275,12 @@ void FusedPooledLookup(KernelBackend backend,
 
 void ScatterSgdUpdate(KernelBackend backend,
                       const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim) {
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim) {
   if (UseSimd(backend)) {
-    simd::ScatterSgdUpdate(batch, grad, pool, lr, weights, hash_size, dim);
+    simd::ScatterSgdUpdate(batch, grad, lr, weights, hash_size, dim);
   } else {
-    detail::ScatterSgdUpdate(batch, grad, pool, lr, weights, hash_size,
-                             dim);
+    detail::ScatterSgdUpdate(batch, grad, lr, weights, hash_size, dim);
   }
 }
 
@@ -468,15 +411,6 @@ void DenseNormalize(KernelBackend backend, float* x, std::size_t n,
     simd::DenseNormalize(x, n, mean, inv_scale);
   } else {
     detail::DenseNormalize(x, n, mean, inv_scale);
-  }
-}
-
-void DenseClamp(KernelBackend backend, float* x, std::size_t n, float lo,
-                float hi) {
-  if (UseSimd(backend)) {
-    simd::DenseClamp(x, n, lo, hi);
-  } else {
-    detail::DenseClamp(x, n, lo, hi);
   }
 }
 

@@ -27,8 +27,6 @@
 
 namespace recd::kernels {
 
-enum class Pool : std::uint8_t { kSum, kMean, kMax };
-
 /// Table row for id under the modulo hash-trick shared by every caller.
 [[nodiscard]] inline std::size_t TableRow(tensor::Id id,
                                           std::size_t hash_size) {
@@ -37,19 +35,14 @@ enum class Pool : std::uint8_t { kSum, kMean, kMax };
 }
 
 // ---------------------------------------------------------------------------
-// Pooled embedding lookup
+// Sum pooling: SumPoolGroup over expanded rows, FusedPooledLookup over
+// unique rows plus an inverse
 // ---------------------------------------------------------------------------
-
-/// out(r, :) = pool(weights rows of batch row r); out is
-/// batch.num_rows() x dim and is zero-filled first (empty rows pool to
-/// zero). Ids accumulate in row order; lanes run across dim.
-void PooledLookup(KernelBackend backend, const tensor::JaggedTensor& batch,
-                  const float* weights, std::size_t hash_size,
-                  std::size_t dim, Pool pool, float* out);
 
 /// One feature of a synchronized group: a (possibly deduplicated) jagged
 /// tensor plus the embedding table it looks up into. All features of a
-/// group share `dim` and row count.
+/// group share `dim` and row count; a single table pools as a
+/// one-feature group.
 struct GroupFeature {
   const tensor::JaggedTensor* jt = nullptr;
   const float* weights = nullptr;
@@ -59,7 +52,9 @@ struct GroupFeature {
 /// Concatenated-group sum pooling at batch rows:
 /// out(r, :) = sum over features k, then ids of jt_k row r, of the
 /// looked-up embedding — the float-op sequence of
-/// train::SumPoolConcatGroup. out is rows x dim, zero-filled first.
+/// train::SumPoolConcatGroup and EmbeddingTable::PooledForward. out is
+/// rows x dim, zero-filled first (empty rows pool to zero). Ids
+/// accumulate in row order; lanes run across dim.
 void SumPoolGroup(KernelBackend backend,
                   std::span<const GroupFeature> group, std::size_t dim,
                   float* out);
@@ -77,15 +72,14 @@ void FusedPooledLookup(KernelBackend backend,
                        std::span<const std::int64_t> inverse,
                        std::size_t dim, float* out);
 
-/// Sparse SGD scatter-update for sum/mean pooling: for each batch row r
-/// (in order) and each id of the row (in order),
-/// weights[row(id)] -= scale_r * grad(r, :), scale_r = lr or lr/len for
-/// mean pooling — the float-op sequence of
-/// EmbeddingTable::ApplyPooledGradient. `pool` must be kSum or kMean.
+/// Sparse SGD scatter-update for sum pooling: for each batch row r (in
+/// order) and each id of the row (in order),
+/// weights[row(id)] -= lr * grad(r, :) — the float-op sequence of
+/// EmbeddingTable::ApplyPooledGradient.
 void ScatterSgdUpdate(KernelBackend backend,
                       const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim);
 
 /// out(i, :) = src(index[i], :) — the RecD post-pooling expansion and
 /// checkpoint gather. Pure row copies (no float arithmetic), so both
@@ -190,10 +184,5 @@ void ReluMask(KernelBackend backend, float* g, const float* pre,
 /// x = (x - mean) * inv_scale — reader kDenseNormalize.
 void DenseNormalize(KernelBackend backend, float* x, std::size_t n,
                     float mean, float inv_scale);
-
-/// x = clamp(x, lo, hi) with std::clamp's exact comparison order
-/// (x < lo ? lo : hi < x ? hi : x).
-void DenseClamp(KernelBackend backend, float* x, std::size_t n, float lo,
-                float hi);
 
 }  // namespace recd::kernels

@@ -16,7 +16,7 @@
 //   * InteractionForward: lanes across j of a transposed d x F tile,
 //     each lane one ascending-c dot chain; InteractionBackward: lanes
 //     across c, pairs in the scalar (i, j) order;
-//   * comparisons (max pooling, ReLU, clamp) use cmp+blend/andnot
+//   * comparisons (ReLU, the loss's max(z, 0)) use cmp+andnot / maxps
 //     sequences chosen to reproduce the scalar branch bit-for-bit,
 //     including -0.0 and NaN behavior (documented per helper).
 // Separate mul/add intrinsics (never FMA) pair with the tree-wide
@@ -63,32 +63,6 @@ RECD_AVX2 inline void AddRows(float* dst, const float* src,
                                    _mm256_loadu_ps(src + c)));
   }
   for (; c < d; ++c) dst[c] += src[c];
-}
-
-// dst[0..d) = max(dst, src) with std::max(a,b) = (a<b)?b:a semantics:
-// blendv picks src only where dst < src (ordered, quiet), so NaN in
-// either operand and ±0 ties resolve exactly like the scalar branch.
-RECD_AVX2 inline void MaxRows(float* dst, const float* src,
-                              std::size_t d) {
-  std::size_t c = 0;
-  for (; c + kLanes <= d; c += kLanes) {
-    const __m256 a = _mm256_loadu_ps(dst + c);
-    const __m256 b = _mm256_loadu_ps(src + c);
-    const __m256 lt = _mm256_cmp_ps(a, b, _CMP_LT_OQ);
-    _mm256_storeu_ps(dst + c, _mm256_blendv_ps(a, b, lt));
-  }
-  for (; c < d; ++c) dst[c] = std::max(dst[c], src[c]);
-}
-
-// dst[0..d) *= s
-RECD_AVX2 inline void ScaleRow(float* dst, float s, std::size_t d) {
-  const __m256 sv = _mm256_set1_ps(s);
-  std::size_t c = 0;
-  for (; c + kLanes <= d; c += kLanes) {
-    _mm256_storeu_ps(dst + c,
-                     _mm256_mul_ps(_mm256_loadu_ps(dst + c), sv));
-  }
-  for (; c < d; ++c) dst[c] *= s;
 }
 
 // dst[0..d) -= s * src[0..d)  (mul then sub, like the scalar update)
@@ -327,38 +301,6 @@ RECD_AVX2 void PanelRowBlock(std::size_t mr, const float* const* a_rows,
 
 }  // namespace
 
-RECD_AVX2 void PooledLookup(const tensor::JaggedTensor& batch,
-                            const float* weights, std::size_t hash_size,
-                            std::size_t dim, Pool pool, float* out) {
-  const std::size_t rows = batch.num_rows();
-  std::fill_n(out, rows * dim, 0.0f);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const auto ids = batch.row(r);
-    if (ids.empty()) continue;
-    float* orow = out + r * dim;
-    switch (pool) {
-      case Pool::kSum:
-      case Pool::kMean: {
-        for (const auto id : ids) {
-          AddRows(orow, weights + TableRow(id, hash_size) * dim, dim);
-        }
-        if (pool == Pool::kMean) {
-          ScaleRow(orow, 1.0f / static_cast<float>(ids.size()), dim);
-        }
-        break;
-      }
-      case Pool::kMax: {
-        std::memcpy(orow, weights + TableRow(ids[0], hash_size) * dim,
-                    dim * sizeof(float));
-        for (std::size_t i = 1; i < ids.size(); ++i) {
-          MaxRows(orow, weights + TableRow(ids[i], hash_size) * dim, dim);
-        }
-        break;
-      }
-    }
-  }
-}
-
 RECD_AVX2 void SumPoolGroup(std::span<const GroupFeature> group,
                             std::size_t dim, float* out) {
   const std::size_t rows = group.front().jt->num_rows();
@@ -397,19 +339,13 @@ RECD_AVX2 void FusedPooledLookup(std::span<const GroupFeature> group,
 }
 
 RECD_AVX2 void ScatterSgdUpdate(const tensor::JaggedTensor& batch,
-                                const float* grad, Pool pool, float lr,
-                                float* weights, std::size_t hash_size,
-                                std::size_t dim) {
+                                const float* grad, float lr, float* weights,
+                                std::size_t hash_size, std::size_t dim) {
   const std::size_t rows = batch.num_rows();
   for (std::size_t r = 0; r < rows; ++r) {
-    const auto ids = batch.row(r);
-    if (ids.empty()) continue;
     const float* g = grad + r * dim;
-    const float scale = pool == Pool::kMean
-                            ? lr / static_cast<float>(ids.size())
-                            : lr;
-    for (const auto id : ids) {
-      SubScaledRow(weights + TableRow(id, hash_size) * dim, g, scale, dim);
+    for (const auto id : batch.row(r)) {
+      SubScaledRow(weights + TableRow(id, hash_size) * dim, g, lr, dim);
     }
   }
 }
@@ -678,35 +614,12 @@ RECD_AVX2 void DenseNormalize(float* x, std::size_t n, float mean,
   for (; i < n; ++i) x[i] = (x[i] - mean) * inv_scale;
 }
 
-RECD_AVX2 void DenseClamp(float* x, std::size_t n, float lo, float hi) {
-  // std::clamp is (v < lo) ? lo : (hi < v) ? hi : v — apply the hi
-  // replacement first, then lo, so lo has the same priority as the
-  // nested ternary; NaN fails both ordered compares and passes through.
-  const __m256 lov = _mm256_set1_ps(lo);
-  const __m256 hiv = _mm256_set1_ps(hi);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const __m256 v = _mm256_loadu_ps(x + i);
-    const __m256 gt = _mm256_cmp_ps(hiv, v, _CMP_LT_OQ);
-    const __m256 lt = _mm256_cmp_ps(v, lov, _CMP_LT_OQ);
-    __m256 r = _mm256_blendv_ps(v, hiv, gt);
-    r = _mm256_blendv_ps(r, lov, lt);
-    _mm256_storeu_ps(x + i, r);
-  }
-  for (; i < n; ++i) x[i] = std::clamp(x[i], lo, hi);
-}
-
 #undef RECD_AVX2
 
 #else  // !RECD_KERNELS_AVX2
 
 // Non-x86 (or non-GNU) builds: the dispatcher never selects simd::
 // (VectorizedAvailable() is false), but the symbols must exist.
-void PooledLookup(const tensor::JaggedTensor& batch, const float* weights,
-                  std::size_t hash_size, std::size_t dim, Pool pool,
-                  float* out) {
-  detail::PooledLookup(batch, weights, hash_size, dim, pool, out);
-}
 void SumPoolGroup(std::span<const GroupFeature> group, std::size_t dim,
                   float* out) {
   detail::SumPoolGroup(group, dim, out);
@@ -717,9 +630,9 @@ void FusedPooledLookup(std::span<const GroupFeature> group,
   detail::FusedPooledLookup(group, inverse, dim, out);
 }
 void ScatterSgdUpdate(const tensor::JaggedTensor& batch, const float* grad,
-                      Pool pool, float lr, float* weights,
-                      std::size_t hash_size, std::size_t dim) {
-  detail::ScatterSgdUpdate(batch, grad, pool, lr, weights, hash_size, dim);
+                      float lr, float* weights, std::size_t hash_size,
+                      std::size_t dim) {
+  detail::ScatterSgdUpdate(batch, grad, lr, weights, hash_size, dim);
 }
 void MatmulABt(const float* a, std::size_t m, std::size_t k, const float* b,
                std::size_t n, float* c) {
@@ -767,9 +680,6 @@ void ReluMask(float* g, const float* pre, std::size_t n) {
 }
 void DenseNormalize(float* x, std::size_t n, float mean, float inv_scale) {
   detail::DenseNormalize(x, n, mean, inv_scale);
-}
-void DenseClamp(float* x, std::size_t n, float lo, float hi) {
-  detail::DenseClamp(x, n, lo, hi);
 }
 
 #endif  // RECD_KERNELS_AVX2

@@ -9,17 +9,6 @@
 
 namespace recd::nn {
 
-namespace {
-kernels::Pool ToKernelPool(PoolingKind pooling) {
-  switch (pooling) {
-    case PoolingKind::kSum: return kernels::Pool::kSum;
-    case PoolingKind::kMean: return kernels::Pool::kMean;
-    case PoolingKind::kMax: return kernels::Pool::kMax;
-  }
-  throw std::invalid_argument("EmbeddingTable: unknown pooling kind");
-}
-}  // namespace
-
 EmbeddingTable::EmbeddingTable(std::size_t hash_size, std::size_t dim,
                                common::Rng& rng) {
   if (hash_size == 0 || dim == 0) {
@@ -124,24 +113,14 @@ std::span<const float> EmbeddingTable::Lookup(tensor::Id id) const {
   return {lookup_scratch_.data(), lookup_scratch_.size()};
 }
 
-DenseMatrix EmbeddingTable::PooledForward(const tensor::JaggedTensor& batch,
-                                          PoolingKind pooling) {
+DenseMatrix EmbeddingTable::PooledForward(const tensor::JaggedTensor& batch) {
   const std::size_t d = dim();
   DenseMatrix out(batch.num_rows(), d);
-  if (!store_) {
-    kernels::PooledLookup(backend_, batch, weights_.data().data(),
-                          weights_.rows(), d, ToKernelPool(pooling),
-                          out.data().data());
-  } else {
-    // Gather the referenced rows once, pool on the gathered scratch:
-    // the remap preserves id order and row bits, so the kernel runs
-    // the identical float-op sequence (bitwise-equal output).
-    const auto view = MakeKernelFeature(batch);
-    kernels::PooledLookup(backend_, view.remapped,
-                          view.gathered.data().data(),
-                          std::max<std::size_t>(view.gathered.rows(), 1), d,
-                          ToKernelPool(pooling), out.data().data());
-  }
+  // A one-feature group. Tiered: pools the gathered scratch, whose remap
+  // preserves id order and row bits (bitwise-equal output).
+  const auto view = MakeKernelFeature(batch);
+  const kernels::GroupFeature gf[] = {GroupFeatureFor(view, batch)};
+  kernels::SumPoolGroup(backend_, gf, d, out.data().data());
   stats_.lookups += batch.total_values();
   stats_.flops += 2ull * batch.total_values() * d;
   stats_.bytes_read += batch.total_values() * d * sizeof(float);
@@ -154,20 +133,17 @@ DenseMatrix EmbeddingTable::FusedPooledForward(
     std::span<const std::int64_t> inverse) {
   const std::size_t d = dim();
   DenseMatrix out(inverse.size(), d);
-  if (!store_) {
-    const kernels::GroupFeature gf[] = {
-        {&unique, weights_.data().data(), weights_.rows()}};
-    kernels::FusedPooledLookup(backend_, gf, inverse, d, out.data().data());
-  } else {
-    // Inverse multiplicities are the admission weights: a unique row
-    // referenced by many batch slots charges its table rows with the
-    // full dedup skew.
-    std::vector<std::uint64_t> mult(unique.num_rows(), 0);
+  // Tiered: inverse multiplicities are the admission weights, so a
+  // unique row referenced by many batch slots charges its table rows
+  // with the full dedup skew.
+  std::vector<std::uint64_t> mult;
+  if (store_) {
+    mult.assign(unique.num_rows(), 0);
     for (const auto i : inverse) mult[static_cast<std::size_t>(i)] += 1;
-    const auto view = MakeKernelFeature(unique, mult);
-    const kernels::GroupFeature gf[] = {GroupFeatureFor(view, unique)};
-    kernels::FusedPooledLookup(backend_, gf, inverse, d, out.data().data());
   }
+  const auto view = MakeKernelFeature(unique, mult);
+  const kernels::GroupFeature gf[] = {GroupFeatureFor(view, unique)};
+  kernels::FusedPooledLookup(backend_, gf, inverse, d, out.data().data());
   // Same accounting as PooledForward on the unique rows (the gather
   // writes no new float math and the old two-step path counted only the
   // unique-row pooling).
@@ -197,19 +173,13 @@ DenseMatrix EmbeddingTable::SequenceForward(
 }
 
 void EmbeddingTable::ApplyPooledGradient(const tensor::JaggedTensor& batch,
-                                         const DenseMatrix& grad,
-                                         PoolingKind pooling, float lr) {
+                                         const DenseMatrix& grad, float lr) {
   if (grad.rows() != batch.num_rows() || grad.cols() != dim()) {
     throw std::invalid_argument(
         "EmbeddingTable::ApplyPooledGradient: shape mismatch");
   }
-  if (pooling == PoolingKind::kMax) {
-    throw std::invalid_argument(
-        "EmbeddingTable: max pooling backward unsupported");
-  }
   if (!store_) {
-    kernels::ScatterSgdUpdate(backend_, batch, grad.data().data(),
-                              ToKernelPool(pooling), lr,
+    kernels::ScatterSgdUpdate(backend_, batch, grad.data().data(), lr,
                               weights_.data().data(), weights_.rows(),
                               dim());
     return;
@@ -220,8 +190,7 @@ void EmbeddingTable::ApplyPooledGradient(const tensor::JaggedTensor& batch,
   auto view = MakeKernelFeature(batch);
   if (view.row_ids.empty()) return;
   kernels::ScatterSgdUpdate(backend_, view.remapped, grad.data().data(),
-                            ToKernelPool(pooling), lr,
-                            view.gathered.data().data(),
+                            lr, view.gathered.data().data(),
                             view.gathered.rows(), dim());
   store_->Update(view.row_ids, view.gathered.data().data());
 }

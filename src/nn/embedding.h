@@ -1,6 +1,6 @@
 // Embedding tables with pooled lookups — the sparse half of a DLRM.
 //
-// EMBs translate each sparse ID into a dense vector; a pooling function
+// EMBs translate each sparse ID into a dense vector; sum pooling
 // aggregates a row's vectors (paper §2.2). RecD's O5 performs lookups on
 // *deduplicated* values slices, cutting lookups, activation memory, and
 // memory bandwidth by DedupeFactor(f); the trainer simulation exercises
@@ -37,8 +37,6 @@ struct GroupFeature;
 
 namespace recd::nn {
 
-enum class PoolingKind : std::uint8_t { kSum, kMean, kMax };
-
 class EmbeddingTable {
  public:
   /// `hash_size` rows of `dim` floats; IDs are mapped by modulo (the
@@ -62,10 +60,10 @@ class EmbeddingTable {
   /// any forward/backward call on this table.
   [[nodiscard]] std::span<const float> Lookup(tensor::Id id) const;
 
-  /// Pooled lookup over a jagged batch: out(r, :) = pool(rows of batch r).
-  /// Empty rows pool to zero.
-  [[nodiscard]] DenseMatrix PooledForward(const tensor::JaggedTensor& batch,
-                                          PoolingKind pooling);
+  /// Sum-pooled lookup over a jagged batch: out(r, :) = sum of the rows
+  /// of batch row r's ids (kernels::SumPoolGroup over a one-feature
+  /// group). Empty rows pool to zero.
+  [[nodiscard]] DenseMatrix PooledForward(const tensor::JaggedTensor& batch);
 
   /// Un-pooled lookup: concatenated sequence embeddings, one row per
   /// value in the jagged batch (feeds attention pooling).
@@ -74,7 +72,7 @@ class EmbeddingTable {
   /// Fused dedup-aware sum-pooled lookup (RecD O5+O7 in one pass):
   /// pools each *unique* row once and writes the pooled vector into
   /// every batch slot i with inverse[i] == u — bitwise-identical to
-  /// PooledForward(unique, kSum) followed by a row gather through
+  /// PooledForward(unique) followed by a row gather through
   /// `inverse`, without materializing the unique-row matrix. Every
   /// inverse entry must be in [0, unique.num_rows()). On a tiered
   /// backend the inverse multiplicities double as hot-tier admission
@@ -83,11 +81,10 @@ class EmbeddingTable {
       const tensor::JaggedTensor& unique,
       std::span<const std::int64_t> inverse);
 
-  /// Sparse SGD for sum/mean pooling: applies -lr * grad(r) to every ID
-  /// of row r (scaled by 1/len for mean). Max pooling is forward-only.
+  /// Sparse SGD for sum pooling: applies -lr * grad(r) to every ID of
+  /// row r.
   void ApplyPooledGradient(const tensor::JaggedTensor& batch,
-                           const DenseMatrix& grad, PoolingKind pooling,
-                           float lr);
+                           const DenseMatrix& grad, float lr);
 
   /// Full weight matrix (hash_size x dim) — the bitwise-equality
   /// surface of the distributed determinism tests and the checkpoint

@@ -112,11 +112,9 @@ std::size_t BatchPipeline::Process(PreprocessedBatch& batch) const {
   for (const auto& spec : config_->transforms) {
     switch (spec.kind) {
       case TransformKind::kDenseNormalize:
-      case TransformKind::kDenseClamp:
         ApplyDenseTransform(spec, batch.dense);
         break;
-      case TransformKind::kSparseHash:
-      case TransformKind::kSparseModShift: {
+      case TransformKind::kSparseHash: {
         // O4: if the feature was deduplicated, transform its unique
         // slice; the wrapper makes this transparent to the transform.
         bool applied = false;

@@ -265,7 +265,18 @@ void ReaderPool::ConvertWorker() {
 }
 
 std::optional<PreprocessedBatch> ReaderPool::NextBatch() {
-  if (workers_ <= 1) return NextInline();
+  if (workers_ <= 1) {
+    // A failed batch's rows have already left inline_rows_, so latch
+    // the error: the scan ends here, as it does with worker threads.
+    // Inline runs on the caller's thread alone; no lock is needed.
+    if (error_) std::rethrow_exception(error_);
+    try {
+      return NextInline();
+    } catch (...) {
+      error_ = std::current_exception();
+      throw;
+    }
+  }
   for (;;) {
     {
       std::lock_guard<std::mutex> lock(error_mutex_);

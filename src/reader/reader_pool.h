@@ -141,8 +141,9 @@ class ReaderPool {
   ReaderPool& operator=(const ReaderPool&) = delete;
 
   /// Next batch in scan order, or nullopt at end of dataset. The final
-  /// partial batch (fewer than batch_size rows) is emitted. Rethrows the
-  /// first worker exception, if any.
+  /// partial batch (fewer than batch_size rows) is emitted. A failed
+  /// batch ends the scan at every worker count: the first exception is
+  /// rethrown by this call and by every later one.
   [[nodiscard]] std::optional<PreprocessedBatch> NextBatch();
 
   [[nodiscard]] std::size_t num_workers() const { return workers_; }

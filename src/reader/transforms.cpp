@@ -1,6 +1,5 @@
 #include "reader/transforms.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "common/hash.h"
@@ -22,27 +21,13 @@ void ApplySparseTransform(const TransformSpec& spec,
       }
       return;
     }
-    case TransformKind::kSparseModShift: {
-      const auto domain = static_cast<std::int64_t>(spec.a);
-      if (domain <= 0) {
-        throw std::invalid_argument(
-            "kSparseModShift: domain must be positive");
-      }
-      const auto shift = static_cast<std::int64_t>(spec.b);
-      for (auto& v : values) {
-        v = ((v + shift) % domain + domain) % domain;
-      }
-      return;
-    }
     case TransformKind::kDenseNormalize:
-    case TransformKind::kDenseClamp:
       throw std::invalid_argument(
           "ApplySparseTransform: dense transform on sparse values");
   }
 }
 
-void ApplyDenseTransform(kernels::KernelBackend backend,
-                         const TransformSpec& spec, std::span<float> dense) {
+void ApplyDenseTransform(const TransformSpec& spec, std::span<float> dense) {
   switch (spec.kind) {
     case TransformKind::kDenseNormalize: {
       if (spec.b == 0) {
@@ -50,31 +35,14 @@ void ApplyDenseTransform(kernels::KernelBackend backend,
       }
       const float mean = static_cast<float>(spec.a);
       const float inv = 1.0f / static_cast<float>(spec.b);
-      kernels::DenseNormalize(backend, dense.data(), dense.size(), mean,
-                              inv);
-      return;
-    }
-    case TransformKind::kDenseClamp: {
-      const float lo = static_cast<float>(spec.a);
-      const float hi = static_cast<float>(spec.b);
-      kernels::DenseClamp(backend, dense.data(), dense.size(), lo, hi);
+      kernels::DenseNormalize(kernels::DefaultBackend(), dense.data(),
+                              dense.size(), mean, inv);
       return;
     }
     case TransformKind::kSparseHash:
-    case TransformKind::kSparseModShift:
       throw std::invalid_argument(
           "ApplyDenseTransform: sparse transform on dense values");
   }
-}
-
-void ApplyDenseTransform(const TransformSpec& spec, std::span<float> dense) {
-  ApplyDenseTransform(kernels::DefaultBackend(), spec, dense);
-}
-
-std::size_t SparseElementsTouched(const TransformSpec& spec,
-                                  const tensor::KeyedJaggedTensor& kjt) {
-  if (!kjt.Has(spec.feature)) return 0;
-  return kjt.Get(spec.feature).total_values();
 }
 
 }  // namespace recd::reader

@@ -12,17 +12,13 @@
 #include <string>
 #include <vector>
 
-#include "kernels/backend.h"
 #include "tensor/ikjt.h"
-#include "tensor/kjt.h"
 
 namespace recd::reader {
 
 enum class TransformKind : std::uint8_t {
   kSparseHash,      // id -> mix64(id) % a  (vocabulary hashing)
-  kSparseModShift,  // id -> (id + b) % a   (cheap remap, deterministic)
   kDenseNormalize,  // x  -> (x - a) / b
-  kDenseClamp,      // x  -> clamp(x, a, b)
 };
 
 struct TransformSpec {
@@ -39,19 +35,9 @@ struct TransformSpec {
 void ApplySparseTransform(const TransformSpec& spec,
                           std::span<tensor::Id> values);
 
-/// Applies a dense transform to a row-major dense block in place.
+/// Applies a dense transform to a row-major dense block in place, on
+/// kernels::DefaultBackend() (both backends are bitwise-identical).
+/// Sparse transforms stay scalar (64-bit hash math has no float lanes).
 void ApplyDenseTransform(const TransformSpec& spec, std::span<float> dense);
-
-/// Backend-pinned variant (the overload above uses
-/// kernels::DefaultBackend()). Sparse transforms stay scalar either way
-/// (64-bit hash/mod math has no float lanes); dense normalize/clamp run
-/// through the vectorized kernels, bitwise-identically.
-void ApplyDenseTransform(kernels::KernelBackend backend,
-                         const TransformSpec& spec, std::span<float> dense);
-
-/// Counts the sparse elements a transform would touch — the O4 metric
-/// (deduplicated inputs shrink this by DedupeFactor).
-[[nodiscard]] std::size_t SparseElementsTouched(
-    const TransformSpec& spec, const tensor::KeyedJaggedTensor& kjt);
 
 }  // namespace recd::reader

@@ -1,7 +1,6 @@
 #include "serve/model_zoo.h"
 
 #include <stdexcept>
-#include <utility>
 
 namespace recd::serve {
 
@@ -32,26 +31,6 @@ ModelSpec ZooVariant(datagen::RmKind kind,
   // Distinct weights per kind even when callers pass one base seed.
   spec.seed = seed + static_cast<std::uint64_t>(kind) * 0x9e3779b97f4a7c15ULL;
   return spec;
-}
-
-std::vector<ModelSpec> DefaultZoo(const datagen::DatasetSpec& dataset,
-                                  std::size_t size, std::uint64_t seed) {
-  if (size == 0) {
-    throw std::invalid_argument("DefaultZoo: size must be >= 1");
-  }
-  constexpr datagen::RmKind kKinds[] = {
-      datagen::RmKind::kRm1, datagen::RmKind::kRm2, datagen::RmKind::kRm3};
-  std::vector<ModelSpec> zoo;
-  zoo.reserve(size);
-  for (std::size_t i = 0; i < size; ++i) {
-    auto spec = ZooVariant(kKinds[i % 3], dataset, seed + i);
-    if (size > 3) {
-      spec.name += '#';
-      spec.name += std::to_string(i);
-    }
-    zoo.push_back(std::move(spec));
-  }
-  return zoo;
 }
 
 }  // namespace recd::serve

@@ -78,11 +78,4 @@ struct FleetSpec {
                                    const datagen::DatasetSpec& dataset,
                                    std::uint64_t seed = 0x5eedf00d);
 
-/// RM1/RM2/RM3-style variants (cycled when `size > 3`) over one shared
-/// dataset — the default heterogeneous zoo the scale bench and the
-/// multi-model determinism tests serve.
-[[nodiscard]] std::vector<ModelSpec> DefaultZoo(
-    const datagen::DatasetSpec& dataset, std::size_t size,
-    std::uint64_t seed = 0x5eedf00d);
-
 }  // namespace recd::serve

@@ -85,12 +85,4 @@ void BlobStore::ResetStats() {
   stats_ = {};
 }
 
-std::vector<std::string> BlobStore::ListObjects() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::string> names;
-  names.reserve(objects_.size());
-  for (const auto& [name, data] : objects_) names.push_back(name);
-  return names;
-}
-
 }  // namespace recd::storage

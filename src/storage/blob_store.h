@@ -60,8 +60,6 @@ class BlobStore {
   [[nodiscard]] IoStats stats() const;
   void ResetStats();
 
-  [[nodiscard]] std::vector<std::string> ListObjects() const;
-
  private:
   mutable std::mutex mutex_;
   std::unordered_map<std::string, std::vector<std::byte>> objects_;

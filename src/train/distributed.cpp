@@ -1,8 +1,10 @@
 #include "train/distributed.h"
 
 #include <algorithm>
+#include <deque>
 #include <exception>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -24,11 +26,26 @@ namespace {
 // Sender and receiver both walk the unit list in global unit order
 // filtered to the destination/owner, so the frame needs no unit tags.
 
-void AppendJagged(std::vector<std::int64_t>& out,
-                  const tensor::JaggedTensor& jt) {
-  out.push_back(static_cast<std::int64_t>(jt.total_values()));
-  out.insert(out.end(), jt.offsets().begin(), jt.offsets().end());
-  out.insert(out.end(), jt.values().begin(), jt.values().end());
+// Appends rows [lo, hi) of jt as [n, offsets(hi - lo), values(n)], the
+// offsets rebased to the slice, without building a sliced copy of jt.
+// Returns n.
+std::size_t AppendJaggedRows(std::vector<std::int64_t>& out,
+                             const tensor::JaggedTensor& jt, std::size_t lo,
+                             std::size_t hi) {
+  if (lo == hi) {
+    out.push_back(0);
+    return 0;
+  }
+  const auto offsets = jt.offsets();
+  const auto values = jt.values();
+  const std::int64_t begin = offsets[lo];
+  const std::int64_t end = hi < jt.num_rows()
+                               ? offsets[hi]
+                               : static_cast<std::int64_t>(values.size());
+  out.push_back(end - begin);
+  for (std::size_t r = lo; r < hi; ++r) out.push_back(offsets[r] - begin);
+  out.insert(out.end(), values.begin() + begin, values.begin() + end);
+  return static_cast<std::size_t>(end - begin);
 }
 
 std::int64_t ReadInt(const std::vector<std::int64_t>& buf,
@@ -310,16 +327,23 @@ float DistributedTrainer::Step(const reader::PreprocessedBatch& batch) {
     }
   }
 
-  // Pre-expand every unit that ships expanded rows, once, on the
-  // caller thread — integer-only work the rank threads then slice
-  // read-only instead of each re-expanding the full batch. Dedup
-  // units in RecD mode are sliced from the IKJT per rank instead.
-  std::vector<std::vector<tensor::JaggedTensor>> expanded(units_.size());
+  // The full-batch rows of every unit that ships expanded rows, which
+  // the rank threads slice read-only. A KJT-held feature is read in
+  // place; only a feature the batch carries in an IKJT or a partial
+  // IKJT is expanded, once, on the caller thread, into `owned` (a deque,
+  // so the pointers stay valid). Dedup units in RecD mode are sliced
+  // from the IKJT per rank instead.
+  std::deque<tensor::JaggedTensor> owned;
+  std::vector<std::vector<const tensor::JaggedTensor*>> expanded(
+      units_.size());
   for (std::size_t u = 0; u < units_.size(); ++u) {
     if (config_.recd && units_[u].deduplicated()) continue;
-    expanded[u].reserve(units_[u].features.size());
     for (const auto& f : units_[u].features) {
-      expanded[u].push_back(ExpandedFeature(batch, f));
+      if (batch.kjt.Has(f)) {
+        expanded[u].push_back(&batch.kjt.Get(f));
+      } else {
+        expanded[u].push_back(&owned.emplace_back(ExpandedFeature(batch, f)));
+      }
     }
   }
 
@@ -367,7 +391,7 @@ float DistributedTrainer::Step(const reader::PreprocessedBatch& batch) {
 
 void DistributedTrainer::RunRank(
     std::size_t rank, const reader::PreprocessedBatch& batch,
-    const std::vector<std::vector<tensor::JaggedTensor>>& expanded,
+    const std::vector<std::vector<const tensor::JaggedTensor*>>& expanded,
     const std::vector<std::size_t>& rank_bounds, float* loss_out) {
   RankState& st = *ranks_[rank];
   // One span per rank per step; the four exchange spans nest inside.
@@ -385,39 +409,25 @@ void DistributedTrainer::RunRank(
   std::size_t values_logical = 0;
   std::size_t values_shipped = 0;
 
-  // --- Phase 0: local input prep (this rank's reader shard). In RecD
-  // mode dedup units carry the slice-rebased IKJT; everything else is
-  // expanded rows.
-  struct LocalInput {
-    bool dedup = false;
-    tensor::InverseKeyedJaggedTensor ikjt;
-    std::vector<tensor::JaggedTensor> expanded;
-  };
-  std::vector<LocalInput> local(units_.size());
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    if (config_.recd && units_[u].deduplicated()) {
-      local[u].dedup = true;
-      local[u].ikjt =
-          tensor::SliceIkjt(*FindGroup(batch, units_[u].features), lo, hi);
-    } else {
-      for (const auto& jt : expanded[u]) {
-        local[u].expanded.push_back(tensor::SliceJaggedRows(jt, lo, hi));
-      }
-    }
-  }
-
-  // --- Phase 1: SDD all-to-all (sparse ids to the table owners).
+  // --- Phase 1: SDD all-to-all (sparse ids to the table owners), from
+  // this rank's reader shard [lo, hi). In RecD mode dedup units ship the
+  // slice-rebased IKJT, kept in local_ikjt; everything else ships its
+  // expanded rows, read in place.
+  std::vector<std::optional<tensor::InverseKeyedJaggedTensor>> local_ikjt(
+      units_.size());
   std::vector<std::vector<std::int64_t>> sdd_send(num_ranks);
   for (std::size_t u = 0; u < units_.size(); ++u) {
     auto& out = sdd_send[unit_owner_[u]];
-    if (local[u].dedup) {
-      const auto& ik = local[u].ikjt;
+    if (config_.recd && units_[u].deduplicated()) {
+      const auto& ik = local_ikjt[u].emplace(
+          tensor::SliceIkjt(*FindGroup(batch, units_[u].features), lo, hi));
       out.push_back(static_cast<std::int64_t>(local_rows));
       out.push_back(static_cast<std::int64_t>(ik.unique_rows()));
       out.insert(out.end(), ik.inverse_lookup().begin(),
                  ik.inverse_lookup().end());
       for (std::size_t k = 0; k < ik.num_keys(); ++k) {
-        AppendJagged(out, ik.unique(k));
+        const auto& jt = ik.unique(k);
+        AppendJaggedRows(out, jt, 0, jt.num_rows());
       }
       // Dedupe accounting: logical (expanded) vs shipped values.
       for (const auto inv : ik.inverse_lookup()) {
@@ -428,12 +438,12 @@ void DistributedTrainer::RunRank(
       }
       values_shipped += ik.total_unique_values();
     } else {
-      for (const auto& jt : local[u].expanded) {
+      for (const auto* jt : expanded[u]) {
         out.push_back(static_cast<std::int64_t>(local_rows));
-        AppendJagged(out, jt);
+        const std::size_t n = AppendJaggedRows(out, *jt, lo, hi);
         if (units_[u].deduplicated()) {
-          values_logical += jt.total_values();
-          values_shipped += jt.total_values();
+          values_logical += n;
+          values_shipped += n;
         }
       }
     }
@@ -511,8 +521,7 @@ void DistributedTrainer::RunRank(
         }
         pooled = SumPoolConcatGroup(config_.backend, jts, tables);
       } else {
-        pooled = st.shard.Table(unit.table_ids[0])
-                     .PooledForward(in.jts[0], nn::PoolingKind::kSum);
+        pooled = st.shard.Table(unit.table_ids[0]).PooledForward(in.jts[0]);
       }
       const auto data = pooled.data();
       emb_send[s].insert(emb_send[s].end(), data.begin(), data.end());
@@ -527,8 +536,8 @@ void DistributedTrainer::RunRank(
   std::vector<std::size_t> read_pos(num_ranks, 0);
   for (std::size_t u = 0; u < units_.size(); ++u) {
     const std::size_t owner = unit_owner_[u];
-    const std::size_t rows =
-        local[u].dedup ? local[u].ikjt.unique_rows() : local_rows;
+    const auto& ik = local_ikjt[u];
+    const std::size_t rows = ik ? ik->unique_rows() : local_rows;
     nn::DenseMatrix pm(rows, d);
     const auto& buf = emb_recv[owner];
     if (read_pos[owner] + rows * d > buf.size()) {
@@ -539,9 +548,8 @@ void DistributedTrainer::RunRank(
                   static_cast<std::ptrdiff_t>(read_pos[owner] + rows * d),
               pm.data().begin());
     read_pos[owner] += rows * d;
-    pooled_units[u] = local[u].dedup
-                          ? ExpandRows(pm, local[u].ikjt.inverse_lookup())
-                          : std::move(pm);
+    pooled_units[u] =
+        ik ? ExpandRows(pm, ik->inverse_lookup()) : std::move(pm);
   }
 
   // --- Phase 3: replicated dense forward/backward per canonical chunk
@@ -643,11 +651,10 @@ void DistributedTrainer::RunRank(
           st.shard.Table(unit.table_ids[k])
               .ApplyPooledGradient(
                   tensor::JaggedIndexSelect(in.jts[k], in.inverse), grads,
-                  nn::PoolingKind::kSum, config_.lr);
+                  config_.lr);
         } else {
           st.shard.Table(unit.table_ids[k])
-              .ApplyPooledGradient(in.jts[k], grads, nn::PoolingKind::kSum,
-                                   config_.lr);
+              .ApplyPooledGradient(in.jts[k], grads, config_.lr);
         }
       }
     }

@@ -172,9 +172,10 @@ class DistributedTrainer {
   /// `expanded[u]` carries unit u's pre-expanded per-feature tensors
   /// (built once on the caller thread, shared read-only across ranks);
   /// empty for the units RecD mode ships deduplicated.
-  void RunRank(std::size_t rank, const reader::PreprocessedBatch& batch,
-               const std::vector<std::vector<tensor::JaggedTensor>>& expanded,
-               const std::vector<std::size_t>& rank_bounds, float* loss_out);
+  void RunRank(
+      std::size_t rank, const reader::PreprocessedBatch& batch,
+      const std::vector<std::vector<const tensor::JaggedTensor*>>& expanded,
+      const std::vector<std::size_t>& rank_bounds, float* loss_out);
 
   ModelConfig model_;
   DistributedConfig config_;

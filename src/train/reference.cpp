@@ -87,12 +87,6 @@ nn::DenseMatrix SumPoolConcatGroup(
   return pooled;
 }
 
-nn::DenseMatrix SumPoolConcatGroup(
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables) {
-  return SumPoolConcatGroup(kernels::DefaultBackend(), jts, tables);
-}
-
 namespace {
 
 const tensor::InverseKeyedJaggedTensor* FindGroupByFirstKey(
@@ -248,7 +242,7 @@ ReferenceDlrm::PooledInputs ReferenceDlrm::PoolSparse(
           ikjt->Unique(feature), ikjt->inverse_lookup()));
     } else {
       out.matrices.push_back(Table(feature).PooledForward(
-          ExpandedFeature(batch, feature), nn::PoolingKind::kSum));
+          ExpandedFeature(batch, feature)));
     }
   };
   for (const auto& f : model_.elementwise_features) pool_single(f);
@@ -351,9 +345,8 @@ float ReferenceDlrm::TrainStep(const reader::PreprocessedBatch& batch,
     for (std::size_t s = 0; s < single_feats.size(); ++s) {
       cap.single_slices.push_back(
           tensor::SliceJaggedRows(single_feats[s], lo, hi));
-      pooled.push_back(Table(single_order[s])
-                           .PooledForward(cap.single_slices.back(),
-                                          nn::PoolingKind::kSum));
+      pooled.push_back(
+          Table(single_order[s]).PooledForward(cap.single_slices.back()));
     }
 
     std::vector<const nn::DenseMatrix*> ptrs;
@@ -398,15 +391,14 @@ float ReferenceDlrm::TrainStep(const reader::PreprocessedBatch& batch,
       for (std::size_t k = 0; k < cap.group_slices[g].size(); ++k) {
         Table(model_.sequence_groups[g].features[k])
             .ApplyPooledGradient(cap.group_slices[g][k],
-                                 cap.grad_inputs[gi],
-                                 nn::PoolingKind::kSum, lr);
+                                 cap.grad_inputs[gi], lr);
       }
       ++gi;
     }
     for (std::size_t s = 0; s < cap.single_slices.size(); ++s) {
       Table(single_order[s])
           .ApplyPooledGradient(cap.single_slices[s], cap.grad_inputs[gi],
-                               nn::PoolingKind::kSum, lr);
+                               lr);
       ++gi;
     }
   }

@@ -54,13 +54,8 @@ inline constexpr std::size_t kGradChunks = 4;
 /// pooling path for sequence groups (attention backward is out of
 /// scope), shared with the distributed trainer so the sharded owner
 /// runs the identical float-op sequence. `jts` and `tables` pair up
-/// per feature and must all have the same row count and dim.
-[[nodiscard]] nn::DenseMatrix SumPoolConcatGroup(
-    const std::vector<const tensor::JaggedTensor*>& jts,
-    const std::vector<const nn::EmbeddingTable*>& tables);
-
-/// Backend-pinned variant (the overload above uses
-/// kernels::DefaultBackend()); bitwise-identical across backends.
+/// per feature and must all have the same row count and dim. Both
+/// backends give bitwise-identical results.
 [[nodiscard]] nn::DenseMatrix SumPoolConcatGroup(
     kernels::KernelBackend backend,
     const std::vector<const tensor::JaggedTensor*>& jts,

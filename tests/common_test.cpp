@@ -11,7 +11,6 @@
 #include "common/hash.h"
 #include "common/histogram.h"
 #include "common/rng.h"
-#include "common/stats.h"
 
 namespace recd::common {
 namespace {
@@ -457,31 +456,6 @@ TEST_P(HistogramSweep, CountsArePreservedAcrossBuckets) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HistogramSweep, ::testing::Range(1, 6));
-
-// --------------------------------------------------------------- stats --
-
-TEST(StatsTest, RunningStatsMatchesClosedForm) {
-  RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.Add(x);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_NEAR(s.variance(), 5.0 / 3.0, 1e-12);
-  EXPECT_EQ(s.min(), 1.0);
-  EXPECT_EQ(s.max(), 4.0);
-  EXPECT_EQ(s.count(), 4);
-}
-
-TEST(StatsTest, PercentileExact) {
-  std::vector<double> xs = {5, 1, 3, 2, 4};
-  EXPECT_DOUBLE_EQ(Percentile(xs, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 0.5), 3.0);
-  EXPECT_DOUBLE_EQ(Percentile(xs, 1.0), 5.0);
-  EXPECT_DOUBLE_EQ(Percentile({}, 0.5), 0.0);
-}
-
-TEST(StatsTest, MeanHandlesEmpty) {
-  EXPECT_DOUBLE_EQ(Mean({}), 0.0);
-  EXPECT_DOUBLE_EQ(Mean({2.0, 4.0}), 3.0);
-}
 
 }  // namespace
 }  // namespace recd::common

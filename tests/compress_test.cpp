@@ -107,6 +107,48 @@ TEST(Lz77Test, CorruptedInputThrows) {
   EXPECT_THROW((void)codec.Decompress(truncated), std::runtime_error);
 }
 
+// A frame that declares far more output than its tokens can produce
+// must be refused before anything is allocated for it.
+TEST(Lz77Test, HugeDeclaredSizeIsRejected) {
+  common::ByteWriter w;
+  w.PutVarint(std::uint64_t{1} << 62);
+  w.PutVarint(0);  // no literals
+  w.PutVarint(0);  // terminator
+  const auto frame = std::move(w).Take();
+  EXPECT_THROW((void)Lz77Codec().Decompress(frame), common::ByteStreamError);
+}
+
+// Lengths are checked against what is left of raw_size and max_match
+// before any byte is copied: a small frame cannot grow without bound.
+TEST(Lz77Test, OversizedLiteralOrMatchIsRejected) {
+  const auto frame = [](std::uint64_t raw_size, std::uint64_t literals,
+                        std::uint64_t match_len) {
+    common::ByteWriter w;
+    w.PutVarint(raw_size);
+    w.PutVarint(literals);
+    for (std::uint64_t i = 0; i < literals; ++i) w.PutU8('a');
+    w.PutVarint(match_len);
+    w.PutVarint(1);  // distance
+    w.PutVarint(0);
+    w.PutVarint(0);
+    return std::move(w).Take();
+  };
+  // A 2^40-byte match in a frame that declares 16 bytes.
+  EXPECT_THROW((void)Lz77Codec().Decompress(frame(16, 1, 1ull << 40)),
+               common::ByteStreamError);
+  // Five literals where two are declared.
+  EXPECT_THROW((void)Lz77Codec().Decompress(frame(2, 5, 0)),
+               common::ByteStreamError);
+  // A match within raw_size but longer than max_match.
+  Lz77Codec::Options opts;
+  opts.max_match = 64;
+  EXPECT_THROW((void)Lz77Codec(opts).Decompress(frame(100, 1, 99)),
+               common::ByteStreamError);
+  // The same frame shape within every bound decodes.
+  const auto ok = Lz77Codec(opts).Decompress(frame(64, 1, 63));
+  EXPECT_EQ(ok, std::vector<std::byte>(64, std::byte{'a'}));
+}
+
 TEST(Lz77Test, DuplicateRowsCompressBetterThanInterleaved) {
   // The storage-level mechanism behind O2 in miniature: the same 200
   // "rows", adjacent vs interleaved with noise rows.

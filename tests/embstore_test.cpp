@@ -345,8 +345,8 @@ TEST(EmbstoreEmbeddingTableTest, ForwardBackwardBitwiseMatchesDense) {
       ASSERT_TRUE(tiered.tiered());
       ASSERT_FALSE(dense.tiered());
 
-      const auto pd = dense.PooledForward(batch, nn::PoolingKind::kSum);
-      const auto pt = tiered.PooledForward(batch, nn::PoolingKind::kSum);
+      const auto pd = dense.PooledForward(batch);
+      const auto pt = tiered.PooledForward(batch);
       EXPECT_TRUE(BitwiseEq(pd, pt)) << "pooled cap=" << cap;
 
       const auto fd = dense.FusedPooledForward(unique, inverse);
@@ -358,10 +358,8 @@ TEST(EmbstoreEmbeddingTableTest, ForwardBackwardBitwiseMatchesDense) {
         grad.data()[i] = 0.01f * static_cast<float>(i % 17) - 0.05f;
       }
       for (int step = 0; step < 3; ++step) {
-        dense.ApplyPooledGradient(batch, grad, nn::PoolingKind::kSum,
-                                  0.05f);
-        tiered.ApplyPooledGradient(batch, grad, nn::PoolingKind::kSum,
-                                   0.05f);
+        dense.ApplyPooledGradient(batch, grad, 0.05f);
+        tiered.ApplyPooledGradient(batch, grad, 0.05f);
       }
       EXPECT_TRUE(BitwiseEq(dense.weights(), tiered.weights()))
           << "post-SGD cap=" << cap;
@@ -382,11 +380,10 @@ TEST(EmbstoreEmbeddingTableTest, EmptyBatchesAndRowsPoolToZero) {
   nn::EmbeddingTable table(16, 4, rng);
   table.UseTieredStore(Tier(2, 4));
   const auto all_empty = JaggedTensor::FromRows({{}, {}, {}});
-  const auto pooled = table.PooledForward(all_empty, nn::PoolingKind::kSum);
+  const auto pooled = table.PooledForward(all_empty);
   ASSERT_EQ(pooled.rows(), 3u);
   for (const float v : pooled.data()) EXPECT_EQ(v, 0.0f);
-  const auto none = table.PooledForward(JaggedTensor::FromRows({}),
-                                        nn::PoolingKind::kSum);
+  const auto none = table.PooledForward(JaggedTensor::FromRows({}));
   EXPECT_EQ(none.rows(), 0u);
 }
 

@@ -187,35 +187,13 @@ TEST(EmbeddingTest, SumPoolingMatchesManual) {
   common::Rng rng(2);
   EmbeddingTable table(100, 3, rng);
   const auto batch = FromRows({{1, 2}, {}, {5}});
-  const auto out = table.PooledForward(batch, PoolingKind::kSum);
+  const auto out = table.PooledForward(batch);
   ASSERT_EQ(out.rows(), 3u);
   for (std::size_t c = 0; c < 3; ++c) {
     EXPECT_FLOAT_EQ(out.at(0, c),
                     table.Lookup(1)[c] + table.Lookup(2)[c]);
     EXPECT_FLOAT_EQ(out.at(1, c), 0.0f);  // empty row pools to zero
     EXPECT_FLOAT_EQ(out.at(2, c), table.Lookup(5)[c]);
-  }
-}
-
-TEST(EmbeddingTest, MeanPoolingDividesByLength) {
-  common::Rng rng(2);
-  EmbeddingTable table(100, 2, rng);
-  const auto batch = FromRows({{7, 7}});
-  const auto mean = table.PooledForward(batch, PoolingKind::kMean);
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_FLOAT_EQ(mean.at(0, c), table.Lookup(7)[c]);
-  }
-}
-
-TEST(EmbeddingTest, MaxPooling) {
-  common::Rng rng(2);
-  EmbeddingTable table(100, 2, rng);
-  const auto batch = FromRows({{1, 2, 3}});
-  const auto out = table.PooledForward(batch, PoolingKind::kMax);
-  for (std::size_t c = 0; c < 2; ++c) {
-    const float expected = std::max(
-        {table.Lookup(1)[c], table.Lookup(2)[c], table.Lookup(3)[c]});
-    EXPECT_FLOAT_EQ(out.at(0, c), expected);
   }
 }
 
@@ -233,7 +211,7 @@ TEST(EmbeddingTest, SequenceForwardLaysOutRowsInOrder) {
 TEST(EmbeddingTest, LookupsCounted) {
   common::Rng rng(2);
   EmbeddingTable table(100, 2, rng);
-  (void)table.PooledForward(FromRows({{1, 2, 3}, {4}}), PoolingKind::kSum);
+  (void)table.PooledForward(FromRows({{1, 2, 3}, {4}}));
   EXPECT_EQ(table.stats().lookups, 4u);
 }
 
@@ -244,7 +222,7 @@ TEST(EmbeddingTest, PooledGradientMovesWeights) {
   const std::vector<float> before(table.Lookup(11).begin(),
                                   table.Lookup(11).end());
   DenseMatrix grad(1, 2, 1.0f);
-  table.ApplyPooledGradient(batch, grad, PoolingKind::kSum, 0.1f);
+  table.ApplyPooledGradient(batch, grad, 0.1f);
   const auto after = table.Lookup(11);
   EXPECT_FLOAT_EQ(after[0], before[0] - 0.1f);
   EXPECT_FLOAT_EQ(after[1], before[1] - 0.1f);
@@ -257,18 +235,8 @@ TEST(EmbeddingTest, DuplicateIdsGetCompoundedUpdates) {
   EmbeddingTable table(100, 1, rng);
   const float before = table.Lookup(9)[0];
   DenseMatrix grad(3, 1, 1.0f);
-  table.ApplyPooledGradient(FromRows({{9}, {9}, {9}}), grad,
-                            PoolingKind::kSum, 0.1f);
+  table.ApplyPooledGradient(FromRows({{9}, {9}, {9}}), grad, 0.1f);
   EXPECT_NEAR(table.Lookup(9)[0], before - 0.3f, 1e-6f);
-}
-
-TEST(EmbeddingTest, MaxPoolBackwardUnsupported) {
-  common::Rng rng(2);
-  EmbeddingTable table(10, 2, rng);
-  DenseMatrix grad(1, 2);
-  EXPECT_THROW(table.ApplyPooledGradient(FromRows({{1}}), grad,
-                                         PoolingKind::kMax, 0.1f),
-               std::invalid_argument);
 }
 
 // ------------------------------------------------------------ Attention --

@@ -6,6 +6,7 @@
 
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -208,6 +209,26 @@ TEST(ReaderPoolTest, UnknownFeatureThrowsUpFront) {
   loader.sparse_features.push_back("no_such_feature");
   EXPECT_THROW(ReaderPool(fixture.store, fixture.table, loader),
                std::out_of_range);
+}
+
+TEST(ReaderPoolTest, FailedBatchPoisonsTheScan) {
+  // kSparseHash with domain 0 throws in Process, so the first batch
+  // fails. The scan must end there at every worker count: every later
+  // call rethrows. An unlatched scan would move on to the following
+  // batches and, past the last one, report a clean end of stream.
+  constexpr std::size_t kSamples = 1'000;
+  auto fixture = MakeFixture(kSamples);
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    auto loader = MakeLoader(fixture.model, workers);
+    loader.transforms.push_back({TransformKind::kSparseHash,
+                                 loader.sparse_features.front(), 0, 0});
+    ReaderPool pool(fixture.store, fixture.table, loader);
+    for (std::size_t call = 0; call < kSamples / kBatchSize + 2; ++call) {
+      EXPECT_THROW((void)pool.NextBatch(), std::invalid_argument)
+          << workers << " workers, call " << call;
+    }
+    // The pool destructs here with its workers stopped or blocked.
+  }
 }
 
 TEST(ReaderPoolTest, WallClockIsRecorded) {

@@ -204,13 +204,20 @@ TEST(ReaderTest, SparseTransformsProduceIdenticalResultsBothPaths) {
 
 TEST(ReaderTest, DenseTransformsApply) {
   auto fx = MakeFixture(64, true);
-  auto config = SmallConfig(fx, 64, true);
+  const auto plain_config = SmallConfig(fx, 64, true);
+  auto config = plain_config;
   config.transforms.push_back(
-      {TransformKind::kDenseClamp, "", 0.0, 0.0});  // clamp all to 0
+      {TransformKind::kDenseNormalize, "", 1.0, 2.0});  // (x - 1) / 2
+  ReaderPool plain(fx.store, fx.table, plain_config);
   ReaderPool rdr(fx.store, fx.table, config);
+  auto raw = plain.NextBatch();
   auto batch = rdr.NextBatch();
-  ASSERT_TRUE(batch.has_value());
-  for (const float v : batch->dense) EXPECT_EQ(v, 0.0f);
+  ASSERT_TRUE(raw.has_value() && batch.has_value());
+  ASSERT_FALSE(batch->dense.empty());
+  ASSERT_EQ(batch->dense.size(), raw->dense.size());
+  for (std::size_t i = 0; i < raw->dense.size(); ++i) {
+    EXPECT_EQ(batch->dense[i], (raw->dense[i] - 1.0f) * 0.5f) << i;
+  }
 }
 
 TEST(ReaderTest, StageTimesAccumulate) {
@@ -256,13 +263,6 @@ TEST(TransformTest, SparseHashDeterministicAndInDomain) {
   }
 }
 
-TEST(TransformTest, ModShiftWrapsNegatives) {
-  std::vector<tensor::Id> values = {-5, 0, 7};
-  ApplySparseTransform({TransformKind::kSparseModShift, "f", 10, 2},
-                       values);
-  EXPECT_EQ(values, (std::vector<tensor::Id>{7, 2, 9}));
-}
-
 TEST(TransformTest, DenseNormalize) {
   std::vector<float> dense = {2.0f, 4.0f};
   ApplyDenseTransform({TransformKind::kDenseNormalize, "", 2.0, 2.0},
@@ -275,7 +275,8 @@ TEST(TransformTest, KindMismatchThrows) {
   std::vector<tensor::Id> sparse = {1};
   std::vector<float> dense = {1.0f};
   EXPECT_THROW(
-      ApplySparseTransform({TransformKind::kDenseClamp, "", 0, 1}, sparse),
+      ApplySparseTransform({TransformKind::kDenseNormalize, "", 0, 1},
+                           sparse),
       std::invalid_argument);
   EXPECT_THROW(
       ApplyDenseTransform({TransformKind::kSparseHash, "f", 10, 0}, dense),
